@@ -5,146 +5,109 @@
 // protocols" — BFT commits in milliseconds among tens of known nodes; PoW
 // takes minutes among thousands of anonymous ones, and BFT's quadratic
 // message cost is why it stays small.
+#include <functional>
 #include <iterator>
-#include <memory>
-#include <vector>
+#include <unordered_map>
 
 #include "bench_util.hpp"
-#include "bft/pbft.hpp"
-#include "bft/raft.hpp"
 #include "core/scenarios.hpp"
-#include "net/network.hpp"
+#include "core/world.hpp"
 #include "sim/metrics.hpp"
 
 using namespace decentnet;
 
 namespace {
 
-struct BftRun {
-  double tps = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
-  double msgs_per_commit = 0;
+constexpr double kOfferedTps = 500;
+constexpr sim::SimDuration kMeasure = sim::seconds(30);
+
+/// Offered load: `fire` 10 ms from now, then at exponential gaps of mean
+/// 1/kOfferedTps drawn from a stream private to the workload.
+class Arrivals {
+ public:
+  Arrivals(sim::Simulator& simu, std::uint64_t seed,
+           std::function<void()> fire)
+      : simu_(simu), rng_(seed), fire_(std::move(fire)) {
+    simu_.schedule(sim::millis(10), [this] { tick(); });
+  }
+  Arrivals(const Arrivals&) = delete;
+  Arrivals& operator=(const Arrivals&) = delete;
+
+ private:
+  void tick() {
+    fire_();
+    simu_.schedule(sim::seconds(rng_.exponential(kOfferedTps)),
+                   [this] { tick(); });
+  }
+
+  sim::Simulator& simu_;
+  sim::Rng rng_;
+  std::function<void()> fire_;
 };
 
-BftRun run_pbft(std::size_t f, double offered_tps, sim::SimDuration dur,
-                sim::PointScope& scope) {
-  sim::Simulator simu(scope.root_seed());
-  scope.instrument(simu);
-  const std::size_t n = 3 * f + 1;
-  net::NetworkConfig net_cfg;
-  net_cfg.expected_nodes = n + 1;  // replicas + client
-  net::Network netw(simu,
-                    std::make_unique<net::ConstantLatency>(sim::millis(5)),
-                    net_cfg, &scope.metrics());
-  bft::PbftConfig cfg;
-  cfg.f = f;
-  cfg.batch_size = 16;
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-  std::vector<std::unique_ptr<bft::PbftReplica>> replicas;
-  for (std::size_t i = 0; i < n; ++i) {
-    replicas.push_back(
-        std::make_unique<bft::PbftReplica>(netw, addrs[i], i, cfg));
-    replicas.back()->set_group(addrs);
-  }
-  bft::PbftClient client(netw, netw.new_node_id(), 1, cfg);
-  client.set_group(addrs);
-  sim::Histogram lat;
-  client.set_done_hook([&](const bft::Command&, sim::SimDuration l) {
-    lat.record(sim::to_millis(l));
-  });
-  sim::Rng rng(3);
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = tick;
-  *tick = [&, weak] {
-    auto strong = weak.lock();
-    client.submit("op", 128);
-    if (strong) {
-      simu.schedule(sim::seconds(rng.exponential(offered_tps)),
-                    [strong] { (*strong)(); });
-    }
-  };
-  simu.schedule(sim::millis(10), [tick] { (*tick)(); });
-  const auto msgs_before = netw.messages_sent();
-  simu.run_until(dur);
-  BftRun out;
-  out.tps = static_cast<double>(client.completed()) / sim::to_seconds(dur);
-  out.p50_ms = lat.percentile(50);
-  out.p99_ms = lat.percentile(99);
-  out.msgs_per_commit =
-      client.completed() == 0
-          ? 0
-          : static_cast<double>(netw.messages_sent() - msgs_before) /
-                static_cast<double>(client.completed());
-  return out;
+/// Run `w` for kMeasure and add its row; `committed` and `lat` are filled by
+/// the runner's hooks as the run goes.
+void measure(core::World& w, const std::string& system,
+             const std::uint64_t& committed, const sim::Histogram& lat,
+             sim::PointScope& scope) {
+  const auto msgs_before = w.netw.messages_sent();
+  w.simu.run_until(w.simu.now() + kMeasure);
+  const double msgs_per_commit =
+      committed == 0 ? 0
+                     : static_cast<double>(w.netw.messages_sent() -
+                                           msgs_before) /
+                           static_cast<double>(committed);
+  scope.add_row(
+      {{"system", system},
+       {"replicas", std::uint64_t{w.addrs.size()}},
+       {"tps", bench::Value(static_cast<double>(committed) /
+                                sim::to_seconds(kMeasure),
+                            0)},
+       {"p50_ms", bench::Value(lat.percentile(50), 1)},
+       {"p99_ms", bench::Value(lat.percentile(99), 1)},
+       {"msgs_per_commit", bench::Value(msgs_per_commit, 1)}});
 }
 
-BftRun run_raft(std::size_t n, double offered_tps, sim::SimDuration dur,
-                sim::PointScope& scope) {
-  sim::Simulator simu(scope.root_seed() + 1);
-  scope.instrument(simu);
-  net::NetworkConfig net_cfg;
-  net_cfg.expected_nodes = n;
-  net::Network netw(simu,
-                    std::make_unique<net::ConstantLatency>(sim::millis(5)),
-                    net_cfg, &scope.metrics());
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-  std::vector<std::unique_ptr<bft::RaftNode>> nodes;
+void run_pbft(std::size_t f, sim::PointScope& scope) {
+  core::PbftWorld w(core::env_of(scope), f, /*batch_size=*/16);
+  sim::Histogram lat;
+  std::uint64_t committed = 0;
+  w.client->set_done_hook([&](const bft::Command&, sim::SimDuration l) {
+    lat.record(sim::to_millis(l));
+    ++committed;
+  });
+  Arrivals load(w.simu, 3, [&] { w.client->submit("op", 128); });
+  measure(w, "PBFT f=" + std::to_string(f), committed, lat, scope);
+}
+
+void run_raft(std::size_t n, sim::PointScope& scope) {
+  core::ScenarioEnv env = core::env_of(scope);
+  env.seed += 1;
+  core::RaftWorld w(env, n);
   sim::Histogram lat;
   std::unordered_map<std::uint64_t, sim::SimTime> inflight;
   std::uint64_t committed = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(
-        std::make_unique<bft::RaftNode>(netw, addrs[i], i, bft::RaftConfig{}));
-    nodes.back()->set_group(addrs);
-  }
-  nodes.front()->set_commit_hook(
-      [&](std::uint64_t, const bft::Command& cmd) {
-        const auto it = inflight.find(cmd.id);
-        if (it == inflight.end()) return;
-        lat.record(sim::to_millis(simu.now() - it->second));
-        inflight.erase(it);
-        ++committed;
-      });
-  for (auto& nd : nodes) nd->start();
-  simu.run_until(sim::seconds(2));
-  sim::Rng rng(5);
-  std::uint64_t next_id = 1;
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = tick;
-  *tick = [&, weak] {
-    auto strong = weak.lock();
-    for (auto& nd : nodes) {
-      if (nd->is_leader()) {
-        bft::Command cmd;
-        cmd.id = next_id++;
-        cmd.wire_bytes = 128;
-        inflight.emplace(cmd.id, simu.now());
-        nd->propose(std::move(cmd));
-        break;
-      }
-    }
-    if (strong) {
-      simu.schedule(sim::seconds(rng.exponential(offered_tps)),
-                    [strong] { (*strong)(); });
-    }
+  w.on_commit = [&](std::size_t node, const bft::Command& cmd) {
+    if (node != 0) return;
+    const auto it = inflight.find(cmd.id);
+    if (it == inflight.end()) return;
+    lat.record(sim::to_millis(w.simu.now() - it->second));
+    inflight.erase(it);
+    ++committed;
   };
-  simu.schedule(sim::millis(10), [tick] { (*tick)(); });
-  const auto msgs_before = netw.messages_sent();
-  const sim::SimTime start = simu.now();
-  simu.run_until(start + dur);
-  BftRun out;
-  out.tps = static_cast<double>(committed) / sim::to_seconds(dur);
-  out.p50_ms = lat.percentile(50);
-  out.p99_ms = lat.percentile(99);
-  out.msgs_per_commit = committed == 0 ? 0
-                                       : static_cast<double>(
-                                             netw.messages_sent() -
-                                             msgs_before) /
-                                             static_cast<double>(committed);
-  return out;
+  w.start();
+  w.simu.run_until(sim::seconds(2));
+  std::uint64_t next_id = 1;
+  Arrivals load(w.simu, 5, [&] {
+    bft::RaftNode* const leader = w.leader();
+    if (leader == nullptr) return;
+    bft::Command cmd;
+    cmd.id = next_id++;
+    cmd.wire_bytes = 128;
+    inflight.emplace(cmd.id, w.simu.now());
+    leader->propose(std::move(cmd));
+  });
+  measure(w, "Raft n=" + std::to_string(n), committed, lat, scope);
 }
 
 }  // namespace
@@ -170,23 +133,9 @@ int main(int argc, char** argv) {
                 [&](sim::PointScope& scope) {
     const std::size_t i = scope.index();
     if (i < std::size(kPbftF)) {
-      const std::size_t f = kPbftF[i];
-      const auto r = run_pbft(f, 500, sim::seconds(30), scope);
-      scope.add_row({{"system", "PBFT f=" + std::to_string(f)},
-                     {"replicas", std::uint64_t{3 * f + 1}},
-                     {"tps", bench::Value(r.tps, 0)},
-                     {"p50_ms", bench::Value(r.p50_ms, 1)},
-                     {"p99_ms", bench::Value(r.p99_ms, 1)},
-                     {"msgs_per_commit", bench::Value(r.msgs_per_commit, 1)}});
+      run_pbft(kPbftF[i], scope);
     } else if (i < std::size(kPbftF) + std::size(kRaftN)) {
-      const std::size_t n = kRaftN[i - std::size(kPbftF)];
-      const auto r = run_raft(n, 500, sim::seconds(30), scope);
-      scope.add_row({{"system", "Raft n=" + std::to_string(n)},
-                     {"replicas", std::uint64_t{n}},
-                     {"tps", bench::Value(r.tps, 0)},
-                     {"p50_ms", bench::Value(r.p50_ms, 1)},
-                     {"p99_ms", bench::Value(r.p99_ms, 1)},
-                     {"msgs_per_commit", bench::Value(r.msgs_per_commit, 1)}});
+      run_raft(kRaftN[i - std::size(kPbftF)], scope);
     } else {
       core::PowScenarioConfig cfg;
       cfg.params.retarget_window = 0;

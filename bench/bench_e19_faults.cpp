@@ -7,282 +7,127 @@
 // checkers (single leader per term, commit-log agreement, chain-tip
 // convergence) confirming that safety held throughout.
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
-#include <vector>
+#include <optional>
+#include <unordered_set>
 
 #include "bench_util.hpp"
-#include "bft/pbft.hpp"
-#include "bft/raft.hpp"
-#include "chain/miner.hpp"
-#include "chain/node.hpp"
-#include "chain/wallet.hpp"
-#include "net/faults.hpp"
-#include "net/network.hpp"
-#include "net/topology.hpp"
-#include "sim/invariants.hpp"
+#include "core/world.hpp"
 
 using namespace decentnet;
 
 namespace {
 
-struct Row {
-  bool recovered = false;
-  double recovery_s = 0;   // heal -> first post-heal progress on every node
-  std::uint64_t violations = 0;
-  std::uint64_t part_drops = 0;
-  std::uint64_t dups = 0;
+struct Cfg {
+  const char* protocol;
+  double partition_s;
+  void (*run)(const Cfg&, sim::PointScope&);
 };
 
-Row finish_row(bool recovered, sim::SimTime recovered_at, sim::SimTime heal_at,
-               const sim::InvariantChecker& checker, sim::PointScope& scope) {
-  Row row;
-  row.recovered = recovered;
-  row.recovery_s =
-      recovered ? sim::to_seconds(recovered_at - heal_at) : 0;
-  row.violations = checker.violations().size();
-  row.part_drops = scope.metrics().counter("net/dropped_partition").value();
-  row.dups = scope.metrics().counter("net/duplicated").value();
-  return row;
+/// Run `w` to `end`, stop its checker, and add the point's row. Recovery is
+/// heal -> the first poll that saw post-heal progress on every node.
+void finish_row(core::World& w, const std::optional<sim::SimTime>& recovered,
+                sim::SimTime heal_at, sim::SimTime end, const Cfg& cfg,
+                sim::PointScope& scope) {
+  w.simu.run_until(end);
+  w.checker().stop();
+  const double recovery_s =
+      recovered ? sim::to_seconds(*recovered - heal_at) : 0;
+  scope.add_row(
+      {{"protocol", cfg.protocol},
+       {"partition_s", bench::Value(cfg.partition_s, 0)},
+       {"recovered", recovered.has_value()},
+       {"recovery_s", bench::Value(recovery_s, 2)},
+       {"violations", std::uint64_t{w.checker().violations().size()}},
+       {"part_drops",
+        scope.metrics().counter("net/dropped_partition").value()},
+       {"dups", scope.metrics().counter("net/duplicated").value()}});
 }
 
 // Raft, n = 5: partition {0,1} away from {2,3,4} AND crash node 4, so the
 // majority side loses quorum too — nothing commits until heal+restart. The
 // recovery clock measures heal -> a post-heal command applied on all five.
-Row run_raft(sim::SimDuration partition_len, std::uint64_t seed,
-             sim::PointScope& scope) {
-  sim::Simulator simu(seed);
-  scope.instrument(simu);
-  const std::size_t n = 5;
-  net::Network netw(simu,
-                    std::make_unique<net::ConstantLatency>(sim::millis(5)),
-                    net::NetworkConfig{.expected_nodes = n},
-                    &scope.metrics());
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-
-  sim::InvariantChecker checker(simu, &scope.metrics());
-  sim::CommitLogInvariant commits;
-  commits.bind(&checker);
-
+void run_raft(const Cfg& cfg, sim::PointScope& scope) {
+  core::RaftWorld w(core::env_of(scope), 5);
   const sim::SimTime part_at = sim::seconds(10);
-  const sim::SimTime heal_at = part_at + partition_len;
+  const sim::SimTime heal_at = part_at + sim::seconds(cfg.partition_s);
 
-  std::vector<std::unique_ptr<bft::RaftNode>> nodes;
-  std::map<std::uint64_t, sim::SimTime> proposed_at;
-  std::vector<bool> post_heal_commit(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(std::make_unique<bft::RaftNode>(netw, addrs[i], i,
-                                                    bft::RaftConfig{}));
-    nodes.back()->set_group(addrs);
-    nodes.back()->set_commit_hook(
-        [&, i](std::uint64_t seq, const bft::Command& cmd) {
-          commits.record(i, seq, cmd.id);
-          const auto it = proposed_at.find(cmd.id);
-          if (it != proposed_at.end() && it->second >= heal_at) {
-            post_heal_commit[i] = true;
-          }
-        });
-  }
-  std::vector<bft::RaftNode*> raw;
-  for (auto& nd : nodes) raw.push_back(nd.get());
-  checker.add("raft-single-leader",
-              sim::invariants::single_leader_per_term(raw));
-  checker.start(sim::millis(200));
-  for (auto& nd : nodes) nd->start();
+  w.check_safety();
+  w.start();
 
   net::FaultPlan plan;
-  plan.partition(part_at, "raft-split", {{addrs[0].value, addrs[1].value}},
-                 heal_at)
+  plan.partition(part_at, "raft-split",
+                 {{w.addrs[0].value, w.addrs[1].value}}, heal_at)
       .duplicate_window(part_at, 0.05, heal_at)
       .crash(part_at, 4)
       .restart(heal_at, 4);
-  net::FaultTargets targets;
-  targets.nodes = addrs;
-  targets.crash = [&](std::size_t i) { nodes[i]->crash(); };
-  targets.restart = [&](std::size_t i) { nodes[i]->restart(); };
-  net::FaultScheduler faults(netw, plan, std::move(targets));
-  faults.start();
+  w.start_faults(std::move(plan));
+  w.start_workload(heal_at);
 
-  // Workload: whoever currently leads gets a fresh command twice a second.
-  std::uint64_t next_id = 1;
-  simu.schedule_periodic(sim::millis(500), sim::millis(500), [&] {
-    for (auto& nd : nodes) {
-      if (!nd->is_leader()) continue;
-      bft::Command c;
-      c.id = next_id;
-      c.client = 1;
-      c.op = "w";
-      if (nd->propose(c)) proposed_at[next_id++] = simu.now();
-      break;
-    }
+  const auto& recovered = w.first_time(heal_at + sim::millis(100), [&] {
+    return w.progressed() == w.nodes.size();
   });
-
-  bool recovered = false;
-  sim::SimTime recovered_at = 0;
-  simu.schedule_periodic(heal_at + sim::millis(100), sim::millis(100), [&] {
-    if (recovered) return;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!post_heal_commit[i]) return;
-    }
-    recovered = true;
-    recovered_at = simu.now();
-  });
-  simu.run_until(heal_at + sim::minutes(2));
-  checker.stop();
-  return finish_row(recovered, recovered_at, heal_at, checker, scope);
+  finish_row(w, recovered, heal_at, heal_at + sim::minutes(2), cfg, scope);
 }
 
 // PBFT, f = 1 (n = 4): isolate the view-0 primary. The backups view-change
 // and keep executing; the clock measures heal -> a post-heal request executed
 // on ALL FOUR replicas, i.e. how fast the stale ex-primary is resynced into
 // the current view.
-Row run_pbft(sim::SimDuration partition_len, std::uint64_t seed,
-             sim::PointScope& scope) {
-  sim::Simulator simu(seed);
-  scope.instrument(simu);
-  bft::PbftConfig cfg;
-  cfg.f = 1;
-  net::Network netw(simu,
-                    std::make_unique<net::ConstantLatency>(sim::millis(5)),
-                    net::NetworkConfig{.expected_nodes = 3 * cfg.f + 2},
-                    &scope.metrics());
-  const std::size_t n = 3 * cfg.f + 1;
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-
-  sim::InvariantChecker checker(simu, &scope.metrics());
-  sim::CommitLogInvariant commits;
-  commits.bind(&checker);
-  checker.add("pbft-commit-agreement", commits.predicate());
-  checker.start(sim::millis(200));
+void run_pbft(const Cfg& cfg, sim::PointScope& scope) {
+  core::PbftWorld w(core::env_of(scope), /*f=*/1, /*batch_size=*/1);
+  w.check_safety();
 
   const sim::SimTime part_at = sim::seconds(10);
-  const sim::SimTime heal_at = part_at + partition_len;
-
-  std::vector<sim::SimTime> submit_times;  // index = cmd id - 1
-  std::vector<bool> post_heal_exec(n, false);
-  std::vector<std::unique_ptr<bft::PbftReplica>> replicas;
-  for (std::size_t i = 0; i < n; ++i) {
-    replicas.push_back(
-        std::make_unique<bft::PbftReplica>(netw, addrs[i], i, cfg));
-    replicas.back()->set_group(addrs);
-    replicas.back()->set_commit_hook(
-        [&, i](std::uint64_t seq, const bft::Command& cmd) {
-          commits.record(i, seq, cmd.id);  // batch_size=1: one cmd per seq
-          if (cmd.id <= submit_times.size() &&
-              submit_times[cmd.id - 1] >= heal_at) {
-            post_heal_exec[i] = true;
-          }
-        });
-  }
-  bft::PbftClient client(netw, netw.new_node_id(), 1, cfg);
-  client.set_group(addrs);
+  const sim::SimTime heal_at = part_at + sim::seconds(cfg.partition_s);
 
   net::FaultPlan plan;
-  plan.partition(part_at, "isolate-primary", {{addrs[0].value}}, heal_at)
+  plan.partition(part_at, "isolate-primary", {{w.addrs[0].value}}, heal_at)
       .duplicate_window(part_at, 0.05, heal_at);
-  net::FaultScheduler faults(netw, plan, {.nodes = addrs});
-  faults.start();
+  w.start_faults(std::move(plan));
+  w.start_workload(heal_at);
 
-  simu.schedule_periodic(sim::seconds(1), sim::seconds(2), [&] {
-    submit_times.push_back(simu.now());  // ids are assigned 1,2,3,...
-    client.submit("w");
+  const auto& recovered = w.first_time(heal_at + sim::millis(100), [&] {
+    return w.progressed() == w.replicas.size();
   });
-
-  bool recovered = false;
-  sim::SimTime recovered_at = 0;
-  simu.schedule_periodic(heal_at + sim::millis(100), sim::millis(100), [&] {
-    if (recovered) return;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!post_heal_exec[i]) return;
-    }
-    recovered = true;
-    recovered_at = simu.now();
-  });
-  simu.run_until(heal_at + sim::minutes(2));
-  checker.stop();
-  return finish_row(recovered, recovered_at, heal_at, checker, scope);
+  finish_row(w, recovered, heal_at, heal_at + sim::minutes(2), cfg, scope);
 }
 
 // PoW, 16 nodes / 4 miners (two per side): both halves keep mining through
 // the split, fork, and must reorg back to one tip after heal. The clock
 // measures heal -> every node on the same best tip; a chain-tip-convergence
 // invariant armed one minute after heal confirms the fork actually died.
-Row run_pow(sim::SimDuration partition_len, std::uint64_t seed,
-            sim::PointScope& scope) {
-  sim::Simulator simu(seed);
-  scope.instrument(simu);
-  net::Network netw(simu,
-                    std::make_unique<net::ConstantLatency>(sim::millis(50)),
-                    net::NetworkConfig{.expected_nodes = 16},
-                    &scope.metrics());
-  chain::ChainParams params;
-  params.target_block_interval = sim::seconds(15);
-  params.retarget_window = 0;  // fixed difficulty: deterministic block rate
-  params.initial_difficulty = 1e6;
-  chain::Wallet payout = chain::Wallet::from_seed(0xE19);
-  const chain::BlockPtr genesis =
-      chain::make_genesis(payout.address(), 10000, params.initial_difficulty);
-
-  const std::size_t n = 16;
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-  sim::Rng topo_rng(seed ^ 0x70B0);
-  const auto adj = net::random_graph(n, 4, topo_rng);
-  std::vector<std::unique_ptr<chain::FullNode>> nodes;
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(
-        std::make_unique<chain::FullNode>(netw, addrs[i], params, genesis));
-    std::vector<net::NodeId> nbrs;
-    for (std::size_t j : adj[i]) nbrs.push_back(addrs[j]);
-    nodes.back()->connect(std::move(nbrs));
-  }
-  const double total_rate =
-      params.initial_difficulty / sim::to_seconds(params.target_block_interval);
-  std::vector<std::unique_ptr<chain::Miner>> miners;
-  for (std::size_t i : {0ul, 1ul, 8ul, 9ul}) {
-    miners.push_back(std::make_unique<chain::Miner>(
-        *nodes[i], payout.address(), total_rate / 4));
-    miners.back()->start();
-  }
-
+void run_pow(const Cfg& cfg, sim::PointScope& scope) {
+  core::PowWorld w(core::env_of(scope), 16, /*payout_seed=*/0xE19,
+                   {0, 1, 8, 9});
   const sim::SimTime part_at = sim::minutes(5);
-  const sim::SimTime heal_at = part_at + partition_len;
+  const sim::SimTime heal_at = part_at + sim::seconds(cfg.partition_s);
   std::unordered_set<std::uint64_t> side_a;
-  for (std::size_t i = 0; i < n / 2; ++i) side_a.insert(addrs[i].value);
+  for (std::size_t i = 0; i < w.addrs.size() / 2; ++i) {
+    side_a.insert(w.addrs[i].value);
+  }
   net::FaultPlan plan;
   plan.partition(part_at, "pow-split", {side_a}, heal_at)
       .duplicate_window(part_at, 0.05, heal_at);
-  net::FaultScheduler faults(netw, plan, {.nodes = addrs});
-  faults.start();
+  w.start_faults(std::move(plan));
 
-  sim::InvariantChecker checker(simu, &scope.metrics());
-  std::vector<chain::FullNode*> raw;
-  for (auto& nd : nodes) raw.push_back(nd.get());
   // Arm convergence only after a post-heal grace period — during the split
   // the two sides legitimately diverge.
-  simu.schedule_at(heal_at + sim::minutes(1), [&] {
-    checker.add("chain-tips-converge",
-                sim::invariants::chain_tips_converge(raw, 2));
+  w.simu.schedule_at(heal_at + sim::minutes(1), [&] {
+    w.checker().add(
+        "chain-tips-converge",
+        sim::invariants::chain_tips_converge(core::raw(w.nodes), 2));
   });
-  checker.start(sim::seconds(1));
+  w.checker().start(sim::seconds(1));
 
-  bool recovered = false;
-  sim::SimTime recovered_at = 0;
-  simu.schedule_periodic(heal_at + sim::millis(100), sim::millis(100), [&] {
-    if (recovered) return;
-    for (const auto& nd : nodes) {
-      if (!(nd->tree().best_tip() == nodes[0]->tree().best_tip())) return;
+  const auto& recovered = w.first_time(heal_at + sim::millis(100), [&] {
+    for (const auto& nd : w.nodes) {
+      if (!(nd->tree().best_tip() == w.nodes[0]->tree().best_tip())) {
+        return false;
+      }
     }
-    recovered = true;
-    recovered_at = simu.now();
+    return true;
   });
-  simu.run_until(heal_at + sim::minutes(3));
-  checker.stop();
-  for (auto& m : miners) m->stop();
-  return finish_row(recovered, recovered_at, heal_at, checker, scope);
+  finish_row(w, recovered, heal_at, heal_at + sim::minutes(3), cfg, scope);
 }
 
 }  // namespace
@@ -301,32 +146,13 @@ int main(int argc, char** argv) {
       "recovery = heal -> post-heal progress visible on every node; online "
       "invariant checkers sample throughout");
 
-  struct Cfg {
-    const char* protocol;
-    double partition_s;
-  };
   const Cfg rows[] = {
-      {"pow", 30},  {"pow", 120},  {"raft", 30},
-      {"raft", 120}, {"pbft", 30}, {"pbft", 120},
+      {"pow", 30, run_pow},   {"pow", 120, run_pow},   {"raft", 30, run_raft},
+      {"raft", 120, run_raft}, {"pbft", 30, run_pbft}, {"pbft", 120, run_pbft},
   };
   ex.run_points(std::size(rows), [&](sim::PointScope& scope) {
     const Cfg& r = rows[scope.index()];
-    const sim::SimDuration len = sim::seconds(r.partition_s);
-    Row out;
-    if (std::string_view(r.protocol) == "pow") {
-      out = run_pow(len, scope.root_seed(), scope);
-    } else if (std::string_view(r.protocol) == "raft") {
-      out = run_raft(len, scope.root_seed(), scope);
-    } else {
-      out = run_pbft(len, scope.root_seed(), scope);
-    }
-    scope.add_row({{"protocol", r.protocol},
-                   {"partition_s", bench::Value(r.partition_s, 0)},
-                   {"recovered", out.recovered},
-                   {"recovery_s", bench::Value(out.recovery_s, 2)},
-                   {"violations", out.violations},
-                   {"part_drops", out.part_drops},
-                   {"dups", out.dups}});
+    r.run(r, scope);
   });
   const int rc = ex.finish();
   std::printf(

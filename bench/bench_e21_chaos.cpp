@@ -12,84 +12,42 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "bft/pbft.hpp"
-#include "bft/raft.hpp"
-#include "chain/miner.hpp"
-#include "chain/node.hpp"
-#include "chain/wallet.hpp"
+#include "core/world.hpp"
 #include "net/churn.hpp"
-#include "net/faults.hpp"
-#include "net/network.hpp"
-#include "net/topology.hpp"
 #include "overlay/gossip.hpp"
 #include "overlay/kademlia.hpp"
-#include "sim/telemetry.hpp"
 #include "sim/chaos.hpp"
-#include "sim/invariants.hpp"
 
 using namespace decentnet;
 
 namespace {
 
-// --telemetry wiring for the single-run --repro replay: main() points this
-// at the harness Telemetry before invoking the scenario, and every runner
-// attaches its fresh Simulator and registers the network + fault series.
-// Fuzz sweeps leave it null (hundreds of shrink replays would interleave).
-sim::Telemetry* g_telemetry = nullptr;
+// One chaos run: a fresh world's env (seeded with the chaos seed), its
+// size, the sampled plan, and the times the liveness oracles judge against.
+struct ChaosRun {
+  core::ScenarioEnv env;
+  std::size_t nodes;
+  const net::FaultPlan& plan;
+  sim::SimTime quiesce;   // the last fault has healed
+  sim::SimTime deadline;  // quiesce + the protocol's recovery bound
+};
 
-void attach_run_telemetry(sim::Simulator& simu) {
-  if (g_telemetry != nullptr) g_telemetry->attach(simu);
-}
-
-void register_run_telemetry(net::Network& netw, net::FaultScheduler& faults) {
-  if (g_telemetry == nullptr) return;
-  netw.register_telemetry(*g_telemetry);
-  faults.register_telemetry(*g_telemetry);
-}
-
-constexpr const char* kProtocols[] = {"pow", "raft", "pbft", "kademlia",
-                                      "gossip"};
-
-// Per-protocol recovery bound: the liveness oracles must be satisfied within
-// this budget after the last fault heals.
-sim::SimDuration recovery_bound(std::string_view protocol) {
-  if (protocol == "pow") return sim::seconds(150);
-  if (protocol == "gossip") return sim::seconds(60);
-  return sim::seconds(90);
-}
-
-std::size_t world_size(std::string_view protocol) {
-  if (protocol == "raft") return 5;
-  if (protocol == "pbft") return 4;
-  if (protocol == "pow") return 12;
-  return 24;  // kademlia, gossip
-}
-
-// The sampled space: the CLI space (or defaults) with the population pinned
-// to the protocol's world size so partition groups and crash indices target
-// real nodes.
-sim::ChaosSpace space_for(const sim::ChaosSpace& base,
-                          std::string_view protocol) {
-  sim::ChaosSpace space = base;
-  space.nodes = world_size(protocol);
-  if (protocol == "pbft") {
-    // n = 3f+1 = 4: more than one simultaneous crash exceeds f and stalls
-    // the protocol for the whole window by design, not by bug.
-    space.crashes.hi = std::min<std::uint32_t>(space.crashes.hi, 1);
-  }
-  return space;
-}
-
-// Record the first violation (safety or liveness) as the outcome.
-sim::ChaosOutcome verdict(const sim::InvariantChecker& checker, bool recovered,
-                          double recovery_s) {
+// Run past the deadline, take a last sample, and record the first violation
+// (safety or liveness) as the outcome.
+sim::ChaosOutcome finish(core::World& w,
+                         const std::optional<sim::SimTime>& recovered,
+                         const ChaosRun& run) {
+  w.simu.run_until(run.deadline + sim::seconds(10));
+  sim::InvariantChecker& checker = w.checker();
+  checker.check_now();
+  checker.stop();
   sim::ChaosOutcome out;
   if (!checker.ok()) {
     const sim::InvariantViolation& v = checker.violations().front();
@@ -98,328 +56,134 @@ sim::ChaosOutcome verdict(const sim::InvariantChecker& checker, bool recovered,
                     std::to_string(v.at) + "us, event " +
                     std::to_string(v.events_processed) + ")";
   }
-  if (recovered) out.recovery_s.push_back(recovery_s);
+  if (recovered) {
+    out.recovery_s.push_back(sim::to_seconds(*recovered - run.quiesce));
+  }
   return out;
 }
 
 // --- Raft: 5 nodes, periodic leader-driven proposals. Safety: single
 // leader per term + commit-log agreement. Liveness: a post-quiesce command
 // commits on a majority within the bound.
-sim::ChaosOutcome run_raft(const net::FaultPlan& plan, std::uint64_t seed) {
-  sim::Simulator simu(seed);
-  attach_run_telemetry(simu);
-  const std::size_t n = world_size("raft");
-  sim::MetricRegistry metrics;
-  net::Network netw(simu,
-                    std::make_unique<net::ConstantLatency>(sim::millis(5)),
-                    net::NetworkConfig{.expected_nodes = n}, &metrics);
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-
-  const sim::SimTime quiesce = sim::plan_quiesce_time(plan);
-  const sim::SimTime deadline = quiesce + recovery_bound("raft");
-
-  sim::InvariantChecker checker(simu, &metrics);
-  sim::CommitLogInvariant commits("raft-commit-agreement");
-  commits.bind(&checker);
-
-  std::map<std::uint64_t, sim::SimTime> proposed_at;
-  std::vector<std::uint64_t> post_quiesce_commits(n, 0);
-  std::vector<std::unique_ptr<bft::RaftNode>> nodes;
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(std::make_unique<bft::RaftNode>(netw, addrs[i], i,
-                                                    bft::RaftConfig{}));
-    nodes.back()->set_group(addrs);
-    nodes.back()->set_commit_hook(
-        [&, i](std::uint64_t seq, const bft::Command& cmd) {
-          commits.record(i, seq, cmd.id);
-          const auto it = proposed_at.find(cmd.id);
-          if (it != proposed_at.end() && it->second >= quiesce) {
-            ++post_quiesce_commits[i];
-          }
-        });
-  }
-  std::vector<bft::RaftNode*> raw;
-  for (auto& nd : nodes) raw.push_back(nd.get());
-  checker.add("raft-single-leader",
-              sim::invariants::single_leader_per_term(raw));
+sim::ChaosOutcome run_raft(const ChaosRun& run) {
+  core::RaftWorld w(run.env, run.nodes);
   const auto majority_recommitted = [&] {
-    std::size_t have = 0;
-    for (const std::uint64_t c : post_quiesce_commits) have += c > 0;
-    return have > n / 2;
+    return w.progressed() > w.nodes.size() / 2;
   };
-  simu.schedule_at(quiesce, [&] {
-    checker.add("raft-leader-liveness",
-                sim::invariants::leader_elected_by(simu, raw, deadline));
-    checker.add("raft-commit-liveness",
-                sim::invariants::eventually(simu, "post-quiesce majority commit",
-                                            deadline, majority_recommitted));
+  w.simu.schedule_at(run.quiesce, [&] {
+    w.checker().add("raft-leader-liveness",
+                    sim::invariants::leader_elected_by(
+                        w.simu, core::raw(w.nodes), run.deadline));
+    w.checker().add("raft-commit-liveness",
+                    sim::invariants::eventually(
+                        w.simu, "post-quiesce majority commit", run.deadline,
+                        majority_recommitted));
   });
-  checker.start(sim::millis(200));
-  for (auto& nd : nodes) nd->start();
+  w.check_safety();
+  w.start();
+  w.start_faults(run.plan);
+  w.start_workload(run.quiesce);
 
-  net::FaultTargets targets;
-  targets.nodes = addrs;
-  targets.crash = [&](std::size_t i) { nodes[i]->crash(); };
-  targets.restart = [&](std::size_t i) { nodes[i]->restart(); };
-  net::FaultScheduler faults(netw, plan, std::move(targets));
-  faults.start();
-  register_run_telemetry(netw, faults);
-
-  std::uint64_t next_id = 1;
-  simu.schedule_periodic(sim::millis(500), sim::millis(500), [&] {
-    for (auto& nd : nodes) {
-      if (!nd->is_leader()) continue;
-      bft::Command c;
-      c.id = next_id;
-      c.client = 1;
-      c.op = "w";
-      if (nd->propose(c)) proposed_at[next_id++] = simu.now();
-      break;
-    }
-  });
-
-  bool recovered = false;
-  sim::SimTime recovered_at = 0;
-  simu.schedule_periodic(quiesce + sim::millis(100), sim::millis(100), [&] {
-    if (!recovered && majority_recommitted()) {
-      recovered = true;
-      recovered_at = simu.now();
-    }
-  });
-  simu.run_until(deadline + sim::seconds(10));
-  checker.check_now();
-  checker.stop();
-  return verdict(checker, recovered,
-                 sim::to_seconds(recovered_at - quiesce));
+  const auto& recovered =
+      w.first_time(run.quiesce + sim::millis(100), majority_recommitted);
+  return finish(w, recovered, run);
 }
 
 // --- PBFT: f=1 (4 replicas) + one client submitting every 2 s. Safety:
 // commit agreement. Liveness: 2f+1 replicas execute a post-quiesce request
 // within the bound (view changes + state transfer included).
-sim::ChaosOutcome run_pbft(const net::FaultPlan& plan, std::uint64_t seed) {
-  sim::Simulator simu(seed);
-  attach_run_telemetry(simu);
-  bft::PbftConfig cfg;
-  cfg.f = 1;
-  const std::size_t n = 3 * cfg.f + 1;
-  sim::MetricRegistry metrics;
-  net::Network netw(simu,
-                    std::make_unique<net::ConstantLatency>(sim::millis(5)),
-                    net::NetworkConfig{.expected_nodes = n + 1}, &metrics);
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-
-  const sim::SimTime quiesce = sim::plan_quiesce_time(plan);
-  const sim::SimTime deadline = quiesce + recovery_bound("pbft");
-
-  sim::InvariantChecker checker(simu, &metrics);
-  sim::CommitLogInvariant commits("pbft-commit-agreement");
-  commits.bind(&checker);
-
-  std::vector<sim::SimTime> submit_times;
-  std::vector<std::uint64_t> post_quiesce_exec(n, 0);
-  std::vector<std::unique_ptr<bft::PbftReplica>> replicas;
-  for (std::size_t i = 0; i < n; ++i) {
-    replicas.push_back(
-        std::make_unique<bft::PbftReplica>(netw, addrs[i], i, cfg));
-    replicas.back()->set_group(addrs);
-    replicas.back()->set_commit_hook(
-        [&, i](std::uint64_t seq, const bft::Command& cmd) {
-          commits.record(i, seq, cmd.id);
-          if (cmd.id <= submit_times.size() &&
-              submit_times[cmd.id - 1] >= quiesce) {
-            ++post_quiesce_exec[i];
-          }
-        });
-  }
-  bft::PbftClient client(netw, netw.new_node_id(), 1, cfg);
-  client.set_group(addrs);
-
-  const auto quorum_executing = [&] {
-    std::size_t have = 0;
-    for (const std::uint64_t c : post_quiesce_exec) have += c > 0;
-    return have >= 2 * cfg.f + 1;
-  };
-  simu.schedule_at(quiesce, [&] {
-    checker.add("pbft-commit-liveness",
-                sim::invariants::eventually(simu,
-                                            "post-quiesce quorum execution",
-                                            deadline, quorum_executing));
+sim::ChaosOutcome run_pbft(const ChaosRun& run) {
+  const std::size_t f = (run.nodes - 1) / 3;
+  core::PbftWorld w(run.env, f, /*batch_size=*/1);
+  const auto quorum_executing = [&] { return w.progressed() >= 2 * f + 1; };
+  w.simu.schedule_at(run.quiesce, [&] {
+    w.checker().add("pbft-commit-liveness",
+                    sim::invariants::eventually(
+                        w.simu, "post-quiesce quorum execution", run.deadline,
+                        quorum_executing));
   });
-  checker.start(sim::millis(200));
+  w.check_safety();
+  w.start_faults(run.plan);
+  w.start_workload(run.quiesce);
 
-  net::FaultTargets targets;
-  targets.nodes = addrs;
-  targets.crash = [&](std::size_t i) { replicas[i]->crash(); };
-  targets.restart = [&](std::size_t i) { replicas[i]->recover(); };
-  net::FaultScheduler faults(netw, plan, std::move(targets));
-  faults.start();
-  register_run_telemetry(netw, faults);
-
-  simu.schedule_periodic(sim::seconds(1), sim::seconds(2), [&] {
-    submit_times.push_back(simu.now());
-    client.submit("w");
-  });
-
-  bool recovered = false;
-  sim::SimTime recovered_at = 0;
-  simu.schedule_periodic(quiesce + sim::millis(100), sim::millis(100), [&] {
-    if (!recovered && quorum_executing()) {
-      recovered = true;
-      recovered_at = simu.now();
-    }
-  });
-  simu.run_until(deadline + sim::seconds(10));
-  checker.check_now();
-  checker.stop();
-  return verdict(checker, recovered,
-                 sim::to_seconds(recovered_at - quiesce));
+  const auto& recovered =
+      w.first_time(run.quiesce + sim::millis(100), quorum_executing);
+  return finish(w, recovered, run);
 }
 
 // --- PoW: 12 nodes / 4 miners on a random graph. Crash = unreachable at
 // the network layer. Liveness: tips converge to within 2 blocks after
 // quiesce. (No mid-fault safety predicate: forks during a partition are the
 // protocol working as designed.)
-sim::ChaosOutcome run_pow(const net::FaultPlan& plan, std::uint64_t seed) {
-  sim::Simulator simu(seed);
-  attach_run_telemetry(simu);
-  const std::size_t n = world_size("pow");
-  sim::MetricRegistry metrics;
-  net::Network netw(simu,
-                    std::make_unique<net::ConstantLatency>(sim::millis(50)),
-                    net::NetworkConfig{.expected_nodes = n}, &metrics);
-  chain::ChainParams params;
-  params.target_block_interval = sim::seconds(15);
-  params.retarget_window = 0;
-  params.initial_difficulty = 1e6;
-  chain::Wallet payout = chain::Wallet::from_seed(0xE21);
-  const chain::BlockPtr genesis =
-      chain::make_genesis(payout.address(), 10000, params.initial_difficulty);
-
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-  sim::Rng topo_rng(seed ^ 0x70B0);
-  const auto adj = net::random_graph(n, 4, topo_rng);
-  std::vector<std::unique_ptr<chain::FullNode>> nodes;
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(
-        std::make_unique<chain::FullNode>(netw, addrs[i], params, genesis));
-    std::vector<net::NodeId> nbrs;
-    for (std::size_t j : adj[i]) nbrs.push_back(addrs[j]);
-    nodes.back()->connect(std::move(nbrs));
-  }
-  const double total_rate =
-      params.initial_difficulty / sim::to_seconds(params.target_block_interval);
-  std::vector<std::unique_ptr<chain::Miner>> miners;
-  for (std::size_t i : {0ul, 3ul, 6ul, 9ul}) {
-    miners.push_back(std::make_unique<chain::Miner>(
-        *nodes[i], payout.address(), total_rate / 4));
-    miners.back()->start();
-  }
-
-  const sim::SimTime quiesce = sim::plan_quiesce_time(plan);
-  const sim::SimTime deadline = quiesce + recovery_bound("pow");
-
-  sim::InvariantChecker checker(simu, &metrics);
-  std::vector<chain::FullNode*> raw;
-  for (auto& nd : nodes) raw.push_back(nd.get());
-  simu.schedule_at(quiesce, [&] {
-    checker.add("pow-tip-liveness",
-                sim::invariants::tips_converge_by(simu, raw, 2, deadline));
+sim::ChaosOutcome run_pow(const ChaosRun& run) {
+  core::PowWorld w(run.env, run.nodes, /*payout_seed=*/0xE21, {0, 3, 6, 9});
+  w.simu.schedule_at(run.quiesce, [&] {
+    w.checker().add("pow-tip-liveness",
+                    sim::invariants::tips_converge_by(
+                        w.simu, core::raw(w.nodes), 2, run.deadline));
   });
-  checker.start(sim::seconds(1));
+  w.checker().start(sim::seconds(1));
+  w.start_faults(run.plan);
 
-  net::FaultTargets targets;
-  targets.nodes = addrs;
-  targets.crash = [&](std::size_t i) { netw.set_unreachable(addrs[i], true); };
-  targets.restart = [&](std::size_t i) {
-    netw.set_unreachable(addrs[i], false);
-  };
-  net::FaultScheduler faults(netw, plan, std::move(targets));
-  faults.start();
-  register_run_telemetry(netw, faults);
-
-  bool recovered = false;
-  sim::SimTime recovered_at = 0;
-  simu.schedule_periodic(quiesce + sim::millis(100), sim::millis(100), [&] {
-    if (recovered) return;
+  const auto& recovered = w.first_time(run.quiesce + sim::millis(100), [&] {
     std::uint64_t lo = ~0ull, hi = 0;
-    for (const auto& nd : nodes) {
+    for (const auto& nd : w.nodes) {
       const std::uint64_t h = nd->tree().best_height();
       lo = std::min(lo, h);
       hi = std::max(hi, h);
     }
-    if (hi - lo <= 2) {
-      recovered = true;
-      recovered_at = simu.now();
-    }
+    return hi - lo <= 2;
   });
-  simu.run_until(deadline + sim::seconds(10));
-  checker.check_now();
-  checker.stop();
-  for (auto& m : miners) m->stop();
-  return verdict(checker, recovered,
-                 sim::to_seconds(recovered_at - quiesce));
+  return finish(w, recovered, run);
 }
 
 // --- Kademlia: 24 nodes with heavy-tailed churn COMPOSED with the sampled
 // fault plan (the FaultScheduler holds a crashed node's churn so churn can
-// never revive it early). Workload: stored values republished every 20 s,
-// find_value lookups every 2 s. Liveness: 3 post-quiesce lookups succeed
-// within the bound.
-sim::ChaosOutcome run_kademlia(const net::FaultPlan& plan,
-                               std::uint64_t seed) {
-  sim::Simulator simu(seed);
-  attach_run_telemetry(simu);
-  const std::size_t n = world_size("kademlia");
-  sim::MetricRegistry metrics;
-  net::Network netw(simu,
-                    std::make_unique<net::ConstantLatency>(sim::millis(20)),
-                    net::NetworkConfig{.expected_nodes = n}, &metrics);
-  overlay::KademliaConfig cfg;
-  cfg.rpc_retries = 1;  // ride out sampled loss bursts (see README)
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-  std::vector<std::unique_ptr<overlay::KademliaNode>> nodes;
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(
-        std::make_unique<overlay::KademliaNode>(netw, addrs[i], cfg));
+// never revive it early). A crash is a leave, a restart a re-join.
+struct KademliaWorld : core::World {
+  KademliaWorld(const core::ScenarioEnv& env, std::size_t n)
+      : World(env, n, sim::millis(20)) {
+    overlay::KademliaConfig cfg;
+    cfg.rpc_retries = 1;  // ride out sampled loss bursts (see README)
+    for (const net::NodeId addr : addrs) {
+      nodes.push_back(std::make_unique<overlay::KademliaNode>(netw, addr, cfg));
+    }
+    for (const auto& nd : nodes) contacts.push_back({nd->id(), nd->addr()});
+    for (std::size_t i = 0; i < nodes.size(); ++i) rejoin(i);
+
+    net::ChurnConfig churn_cfg;
+    churn_cfg.session = net::DurationDist::weibull(240, 0.8);
+    churn_cfg.downtime = net::DurationDist::exponential_mean(20);
+    churn_cfg.initially_online = 1.0;
+    churn = std::make_unique<net::ChurnDriver>(
+        simu, nodes.size(), churn_cfg, [this](std::size_t i) { rejoin(i); },
+        [this](std::size_t i) { nodes[i]->leave(); });
+    churn->start();
+
+    fault_targets_.crash = [this](std::size_t i) { nodes[i]->leave(); };
+    fault_targets_.restart = [this](std::size_t i) { rejoin(i); };
+    fault_targets_.churn = churn.get();
   }
-  std::vector<overlay::Contact> all_contacts;
-  for (const auto& nd : nodes) {
-    all_contacts.push_back({nd->id(), nd->addr()});
-  }
-  const auto bootstrap_for = [&](std::size_t i) {
+
+  // Join through the next three nodes in ring order.
+  void rejoin(std::size_t i) {
     std::vector<overlay::Contact> bs;
     for (std::size_t d = 1; d <= 3; ++d) {
-      bs.push_back(all_contacts[(i + d) % n]);
+      bs.push_back(contacts[(i + d) % contacts.size()]);
     }
-    return bs;
-  };
-  for (std::size_t i = 0; i < n; ++i) nodes[i]->join(bootstrap_for(i));
+    nodes[i]->join(bs);
+  }
 
-  const sim::SimTime quiesce = sim::plan_quiesce_time(plan);
-  const sim::SimTime deadline = quiesce + recovery_bound("kademlia");
+  std::vector<std::unique_ptr<overlay::KademliaNode>> nodes;
+  std::vector<overlay::Contact> contacts;
+  std::unique_ptr<net::ChurnDriver> churn;
+};
 
-  net::ChurnConfig churn_cfg;
-  churn_cfg.session = net::DurationDist::weibull(240, 0.8);
-  churn_cfg.downtime = net::DurationDist::exponential_mean(20);
-  churn_cfg.initially_online = 1.0;
-  net::ChurnDriver churn(
-      simu, n, churn_cfg,
-      [&](std::size_t i) { nodes[i]->join(bootstrap_for(i)); },
-      [&](std::size_t i) { nodes[i]->leave(); });
-  churn.start();
-
-  net::FaultTargets targets;
-  targets.nodes = addrs;
-  targets.crash = [&](std::size_t i) { nodes[i]->leave(); };
-  targets.restart = [&](std::size_t i) { nodes[i]->join(bootstrap_for(i)); };
-  targets.churn = &churn;
-  net::FaultScheduler faults(netw, plan, std::move(targets));
-  faults.start();
-  register_run_telemetry(netw, faults);
+// Workload: stored values republished every 20 s, find_value lookups every
+// 2 s. Liveness: 3 post-quiesce lookups succeed within the bound.
+sim::ChaosOutcome run_kademlia(const ChaosRun& run) {
+  KademliaWorld w(run.env, run.nodes);
+  w.start_faults(run.plan);
 
   // Keys stored once the overlay settles and republished every 20 s from the
   // lowest online node (real DHTs republish; churn evicts replicas).
@@ -427,11 +191,11 @@ sim::ChaosOutcome run_kademlia(const net::FaultPlan& plan,
   for (std::uint64_t k = 0; k < 8; ++k) {
     keys.push_back(crypto::sha256("chaos-key-" + std::to_string(k)));
   }
-  simu.schedule_periodic(sim::seconds(2), sim::seconds(20), [&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!nodes[i]->online()) continue;
+  w.simu.schedule_periodic(sim::seconds(2), sim::seconds(20), [&] {
+    for (auto& nd : w.nodes) {
+      if (!nd->online()) continue;
       for (std::size_t k = 0; k < keys.size(); ++k) {
-        nodes[i]->store(keys[k], "v" + std::to_string(k));
+        nd->store(keys[k], "v" + std::to_string(k));
       }
       break;
     }
@@ -439,132 +203,137 @@ sim::ChaosOutcome run_kademlia(const net::FaultPlan& plan,
 
   std::uint64_t post_quiesce_hits = 0;
   std::uint64_t issued = 0;
-  simu.schedule_periodic(sim::seconds(4), sim::seconds(2), [&] {
-    const std::size_t who = issued % n;
+  w.simu.schedule_periodic(sim::seconds(4), sim::seconds(2), [&] {
+    const std::size_t who = issued % run.nodes;
     const overlay::Key& key = keys[issued % keys.size()];
     ++issued;
-    if (!nodes[who]->online()) return;
-    const sim::SimTime at = simu.now();
-    nodes[who]->find_value(key, [&, at](overlay::LookupResult res) {
-      if (res.found_value && at >= quiesce) ++post_quiesce_hits;
+    if (!w.nodes[who]->online()) return;
+    const sim::SimTime at = w.simu.now();
+    w.nodes[who]->find_value(key, [&, at](overlay::LookupResult res) {
+      if (res.found_value && at >= run.quiesce) ++post_quiesce_hits;
     });
   });
 
-  sim::InvariantChecker checker(simu, &metrics);
-  simu.schedule_at(quiesce, [&] {
-    checker.add("kademlia-lookup-liveness",
-                sim::invariants::count_reaches(
-                    simu, "post-quiesce lookup successes",
-                    [&] { return post_quiesce_hits; }, 3, deadline));
+  w.simu.schedule_at(run.quiesce, [&] {
+    w.checker().add("kademlia-lookup-liveness",
+                    sim::invariants::count_reaches(
+                        w.simu, "post-quiesce lookup successes",
+                        [&] { return post_quiesce_hits; }, 3, run.deadline));
   });
-  checker.start(sim::millis(500));
+  w.checker().start(sim::millis(500));
 
-  bool recovered = false;
-  sim::SimTime recovered_at = 0;
-  simu.schedule_periodic(quiesce + sim::millis(100), sim::millis(100), [&] {
-    if (!recovered && post_quiesce_hits >= 3) {
-      recovered = true;
-      recovered_at = simu.now();
-    }
-  });
-  simu.run_until(deadline + sim::seconds(10));
-  checker.check_now();
-  checker.stop();
-  churn.stop();
-  return verdict(checker, recovered,
-                 sim::to_seconds(recovered_at - quiesce));
+  const auto& recovered = w.first_time(
+      run.quiesce + sim::millis(100), [&] { return post_quiesce_hits >= 3; });
+  return finish(w, recovered, run);
 }
 
-// --- Gossip: 24 nodes, Cyclon shuffling, a rumor broadcast every 5 s
-// throughout plus one probe rumor right after quiesce. Liveness: the probe
-// rumor reaches every online node within the bound.
-sim::ChaosOutcome run_gossip(const net::FaultPlan& plan, std::uint64_t seed) {
-  sim::Simulator simu(seed);
-  attach_run_telemetry(simu);
-  const std::size_t n = world_size("gossip");
-  sim::MetricRegistry metrics;
-  net::Network netw(simu,
-                    std::make_unique<net::ConstantLatency>(sim::millis(20)),
-                    net::NetworkConfig{.expected_nodes = n}, &metrics);
-  overlay::GossipConfig cfg;
-  cfg.view_size = 8;
-  cfg.shuffle_size = 4;
-  cfg.shuffle_interval = sim::seconds(5);
-  cfg.fanout = 4;
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-  std::vector<std::unique_ptr<overlay::GossipNode>> nodes;
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(
-        std::make_unique<overlay::GossipNode>(netw, addrs[i], cfg));
+// --- Gossip: 24 nodes, Cyclon shuffling. A crash is a leave, a restart a
+// re-join through the next four nodes in ring order.
+struct GossipWorld : core::World {
+  GossipWorld(const core::ScenarioEnv& env, std::size_t n)
+      : World(env, n, sim::millis(20)) {
+    overlay::GossipConfig cfg;
+    cfg.view_size = 8;
+    cfg.shuffle_size = 4;
+    cfg.shuffle_interval = sim::seconds(5);
+    cfg.fanout = 4;
+    for (const net::NodeId addr : addrs) {
+      nodes.push_back(std::make_unique<overlay::GossipNode>(netw, addr, cfg));
+    }
+    for (std::size_t i = 0; i < nodes.size(); ++i) rejoin(i);
+    fault_targets_.crash = [this](std::size_t i) { nodes[i]->leave(); };
+    fault_targets_.restart = [this](std::size_t i) { rejoin(i); };
   }
-  const auto bootstrap_for = [&](std::size_t i) {
+
+  void rejoin(std::size_t i) {
     std::vector<net::NodeId> view;
-    for (std::size_t d = 1; d <= 4; ++d) view.push_back(addrs[(i + d) % n]);
-    return view;
-  };
-  for (std::size_t i = 0; i < n; ++i) nodes[i]->join(bootstrap_for(i));
+    for (std::size_t d = 1; d <= 4; ++d) {
+      view.push_back(addrs[(i + d) % addrs.size()]);
+    }
+    nodes[i]->join(view);
+  }
 
-  const sim::SimTime quiesce = sim::plan_quiesce_time(plan);
-  const sim::SimTime deadline = quiesce + recovery_bound("gossip");
+  std::vector<std::unique_ptr<overlay::GossipNode>> nodes;
+};
 
-  net::FaultTargets targets;
-  targets.nodes = addrs;
-  targets.crash = [&](std::size_t i) { nodes[i]->leave(); };
-  targets.restart = [&](std::size_t i) { nodes[i]->join(bootstrap_for(i)); };
-  net::FaultScheduler faults(netw, plan, std::move(targets));
-  faults.start();
-  register_run_telemetry(netw, faults);
+// Workload: a rumor broadcast every 5 s throughout plus one probe rumor
+// right after quiesce. Liveness: the probe rumor reaches every online node
+// within the bound.
+sim::ChaosOutcome run_gossip(const ChaosRun& run) {
+  GossipWorld w(run.env, run.nodes);
+  w.start_faults(run.plan);
 
   std::uint64_t next_rumor = 1;
-  simu.schedule_periodic(sim::seconds(3), sim::seconds(5), [&] {
-    const std::size_t who = next_rumor % n;
-    if (nodes[who]->online()) nodes[who]->broadcast(next_rumor, 64);
+  w.simu.schedule_periodic(sim::seconds(3), sim::seconds(5), [&] {
+    const std::size_t who = next_rumor % run.nodes;
+    if (w.nodes[who]->online()) w.nodes[who]->broadcast(next_rumor, 64);
     ++next_rumor;
   });
 
   // The probe rumor: originated just after quiesce by the lowest online
   // node, watched by the coverage oracle.
   const overlay::RumorId probe_id = 1'000'000;
-  std::vector<overlay::GossipNode*> raw;
-  for (auto& nd : nodes) raw.push_back(nd.get());
-  sim::InvariantChecker checker(simu, &metrics);
-  simu.schedule_at(quiesce + sim::seconds(1), [&] {
-    for (auto& nd : nodes) {
+  w.simu.schedule_at(run.quiesce + sim::seconds(1), [&] {
+    for (auto& nd : w.nodes) {
       if (nd->online()) {
         nd->broadcast(probe_id, 64);
         break;
       }
     }
-    checker.add("gossip-coverage-liveness",
-                sim::invariants::coverage_converges_by(simu, raw, probe_id,
-                                                       deadline));
+    w.checker().add("gossip-coverage-liveness",
+                    sim::invariants::coverage_converges_by(
+                        w.simu, core::raw(w.nodes), probe_id, run.deadline));
   });
-  checker.start(sim::millis(500));
+  w.checker().start(sim::millis(500));
 
-  bool recovered = false;
-  sim::SimTime recovered_at = 0;
-  simu.schedule_periodic(quiesce + sim::seconds(2), sim::millis(100), [&] {
-    if (recovered) return;
-    for (const auto& nd : nodes) {
-      if (nd->online() && !nd->has_seen(probe_id)) return;
+  const auto& recovered = w.first_time(run.quiesce + sim::seconds(2), [&] {
+    for (const auto& nd : w.nodes) {
+      if (nd->online() && !nd->has_seen(probe_id)) return false;
     }
-    recovered = true;
-    recovered_at = simu.now();
+    return true;
   });
-  simu.run_until(deadline + sim::seconds(10));
-  checker.check_now();
-  checker.stop();
-  return verdict(checker, recovered,
-                 sim::to_seconds(recovered_at - quiesce));
+  return finish(w, recovered, run);
 }
 
-sim::ChaosScenario scenario_for(std::string_view protocol) {
-  if (protocol == "pow") return run_pow;
-  if (protocol == "raft") return run_raft;
-  if (protocol == "pbft") return run_pbft;
-  if (protocol == "kademlia") return run_kademlia;
-  return run_gossip;
+struct Protocol {
+  const char* name;
+  std::size_t nodes;  // partition groups and crash indices target these
+  sim::SimDuration recovery_bound;  // liveness budget after the last heal
+  sim::ChaosOutcome (*run)(const ChaosRun&);
+};
+
+constexpr Protocol kProtocols[] = {
+    {"pow", 12, sim::seconds(150), run_pow},
+    {"raft", 5, sim::seconds(90), run_raft},
+    {"pbft", 4, sim::seconds(90), run_pbft},
+    {"kademlia", 24, sim::seconds(90), run_kademlia},
+    {"gossip", 24, sim::seconds(60), run_gossip},
+};
+
+/// The protocol's chaos scenario: every run builds a fresh world from `env`
+/// seeded with the run's chaos seed.
+sim::ChaosScenario scenario_for(const Protocol& p,
+                                const core::ScenarioEnv& env = {}) {
+  return [&p, env](const net::FaultPlan& plan, std::uint64_t seed) {
+    core::ScenarioEnv seeded = env;
+    seeded.seed = seed;
+    const sim::SimTime quiesce = sim::plan_quiesce_time(plan);
+    return p.run({seeded, p.nodes, plan, quiesce, quiesce + p.recovery_bound});
+  };
+}
+
+// The sampled space: the CLI space (or defaults) with the population pinned
+// to the protocol's world size so partition groups and crash indices target
+// real nodes.
+sim::ChaosSpace space_for(const sim::ChaosSpace& base, const Protocol& p) {
+  sim::ChaosSpace space = base;
+  space.nodes = p.nodes;
+  if (std::string_view(p.name) == "pbft") {
+    // n = 3f+1 = 4: more than one simultaneous crash exceeds f and stalls
+    // the protocol for the whole window by design, not by bug.
+    space.crashes.hi = std::min<std::uint32_t>(space.crashes.hi, 1);
+  }
+  return space;
 }
 
 double percentile(std::vector<double> v, double p) {
@@ -574,15 +343,29 @@ double percentile(std::vector<double> v, double p) {
   return v[std::min(idx, v.size() - 1)];
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    std::exit(2);
+// Parse the file named by `flag` with `parse`; an unreadable or malformed
+// file is a usage error (exit 2) naming the flag, the path and the cause.
+template <typename Parse>
+auto load(const char* flag, const std::string& path, Parse parse) {
+  std::string error = "cannot read file";
+  if (std::ifstream in(path); in) {
+    std::ostringstream text;
+    text << in.rdbuf();
+    try {
+      return parse(text.str());
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  std::fprintf(stderr, "%s %s: %s\n", flag, path.c_str(), error.c_str());
+  std::exit(2);
+}
+
+const Protocol* find_protocol(std::string_view name) {
+  for (const Protocol& p : kProtocols) {
+    if (name == p.name) return &p;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -602,30 +385,28 @@ int main(int argc, char** argv) {
 
   sim::ChaosSpace base;
   if (!ex.chaos_space_path().empty()) {
-    try {
-      base = sim::ChaosSpace::from_json(read_file(ex.chaos_space_path()));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--chaos-space %s: %s\n",
-                   ex.chaos_space_path().c_str(), e.what());
-      return 2;
-    }
+    base = load("--chaos-space", ex.chaos_space_path(),
+                sim::ChaosSpace::from_json);
   }
 
   // --repro FILE: replay one shrunk failure byte-identically and report
   // whether it still fails. Exit 0 = reproduced, 3 = did not reproduce.
   if (!ex.repro_path().empty()) {
-    sim::ChaosRepro repro;
-    try {
-      repro = sim::ChaosRepro::from_json(read_file(ex.repro_path()));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--repro %s: %s\n", ex.repro_path().c_str(),
-                   e.what());
+    const sim::ChaosRepro repro =
+        load("--repro", ex.repro_path(), sim::ChaosRepro::from_json);
+    const Protocol* const protocol = find_protocol(repro.protocol);
+    if (protocol == nullptr) {
+      std::fprintf(stderr, "--repro %s: unknown protocol '%s'\n",
+                   ex.repro_path().c_str(), repro.protocol.c_str());
       return 2;
     }
-    g_telemetry = ex.telemetry();  // see attach_run_telemetry
+    // The replay is one run, so it gets the harness trace, profiler and
+    // telemetry (sweeps run bare: their shrink replays would interleave).
+    // Its metrics stay world-private; the artifact carries the verdict row.
+    core::ScenarioEnv env = core::env_of(ex);
+    env.metrics = nullptr;
     const sim::ChaosOutcome out =
-        scenario_for(repro.protocol)(repro.plan, repro.seed);
-    g_telemetry = nullptr;
+        scenario_for(*protocol, env)(repro.plan, repro.seed);
     ex.add_row({{"protocol", repro.protocol},
                 {"seed", std::uint64_t(repro.seed)},
                 {"reproduced", !out.ok},
@@ -647,10 +428,10 @@ int main(int argc, char** argv) {
 
   std::atomic<std::uint64_t> total_violations{0};
   ex.run_points(std::size(kProtocols), [&](sim::PointScope& scope) {
-    const std::string protocol = kProtocols[scope.index()];
-    const sim::ChaosSpace space = space_for(base, protocol);
-    const sim::ChaosEngine engine(space);
-    const sim::ChaosScenario scenario = scenario_for(protocol);
+    const Protocol& p = kProtocols[scope.index()];
+    const std::string protocol = p.name;
+    const sim::ChaosEngine engine(space_for(base, p));
+    const sim::ChaosScenario scenario = scenario_for(p);
 
     std::vector<double> recovery;
     std::uint64_t violations = 0;

@@ -10,6 +10,7 @@
 #include "chain/miner.hpp"
 #include "chain/node.hpp"
 #include "chain/wallet.hpp"
+#include "core/world.hpp"
 #include "fabric/channel.hpp"
 #include "fabric/contracts.hpp"
 #include "net/topology.hpp"
@@ -19,30 +20,6 @@
 namespace decentnet::core {
 
 namespace {
-
-/// Where a run gets its seed, metric registry, and trace sink from. The
-/// standalone overload runs with the config's seed and a network-private
-/// registry; the harness/scope overloads thread the experiment's.
-struct ScenarioEnv {
-  std::uint64_t seed = 0;
-  sim::MetricRegistry* metrics = nullptr;
-  sim::TraceSink* trace = nullptr;
-  sim::Profiler* profiler = nullptr;
-};
-
-ScenarioEnv env_of(const ScenarioCommon& common) {
-  return {common.seed, nullptr, nullptr, nullptr};
-}
-
-ScenarioEnv env_of(sim::ExperimentHarness& harness) {
-  return {harness.seed(), &harness.metrics(), harness.trace(),
-          harness.profiler()};
-}
-
-ScenarioEnv env_of(sim::PointScope& scope) {
-  return {scope.root_seed(), &scope.metrics(), scope.trace(),
-          scope.profiler()};
-}
 
 void check_valid(const std::optional<std::string>& error) {
   if (error) throw std::invalid_argument(*error);

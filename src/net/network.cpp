@@ -8,25 +8,12 @@
 
 namespace decentnet::net {
 
-TransportConfig NetworkConfig::resolved_transport() const {
-  TransportConfig t = transport;
-  // Deprecated-shim folding: the old knobs override only what they set.
-  // 0 means "unset" for the bps shims (the old defaults live in LinkSpec
-  // now); negative values flow through so validate() can name them.
-  if (model_bandwidth && t.mode == TransportMode::Latency) {
-    t.mode = TransportMode::Bandwidth;
-  }
-  if (default_uplink_bps != 0) t.link.up_bps = default_uplink_bps;
-  if (default_downlink_bps != 0) t.link.down_bps = default_downlink_bps;
-  return t;
-}
-
 std::optional<std::string> NetworkConfig::validate() const {
   if (drop_probability < 0 || drop_probability > 1) {
     return "NetworkConfig: drop_probability must be in [0, 1], got " +
            std::to_string(drop_probability);
   }
-  if (auto err = resolved_transport().validate()) {
+  if (auto err = transport.validate()) {
     return "NetworkConfig: " + *err;
   }
   return std::nullopt;
@@ -51,7 +38,7 @@ Network::Network(sim::Simulator& sim, std::unique_ptr<LatencyModel> latency,
       m_duplicated_(metrics_.counter("net/duplicated")),
       m_reordered_(metrics_.counter("net/reordered")),
       m_span_hops_(metrics_.counter("net/span_hops")),
-      transport_(config.resolved_transport()) {
+      transport_(config.transport) {
   if (config_.expected_nodes > 0) reserve_nodes(config_.expected_nodes);
 }
 
@@ -219,15 +206,6 @@ sim::MetricRegistry& Network::metrics_for(NodeId id) {
 
 void Network::set_link(NodeId id, const LinkSpec& spec) {
   transport_.set_link(ensure_node(id), spec);
-}
-
-void Network::set_bandwidth(NodeId id, double uplink_bps,
-                            double downlink_bps) {
-  // Deprecated shim: rewrite only the capacities, preserving queue depth.
-  LinkSpec spec = link(id);
-  spec.up_bps = uplink_bps;
-  spec.down_bps = downlink_bps;
-  set_link(id, spec);
 }
 
 void Network::set_latency_penalty(NodeId id, sim::SimDuration extra) {

@@ -73,19 +73,6 @@ struct NetworkConfig {
   /// byte-stable.
   bool track_spans = false;
 
-  // --- Deprecated shims (one release): the pre-Transport bandwidth knobs.
-  // When set they fold into `transport` at Network construction / via
-  // resolved_transport(): model_bandwidth selects TransportMode::Bandwidth,
-  // nonzero *_bps override transport.link. New code sets `transport`
-  // directly; these exist so callers migrate in their own PRs.
-  bool model_bandwidth = false;
-  double default_uplink_bps = 0;    // 0 = unset; use transport.link.up_bps
-  double default_downlink_bps = 0;  // 0 = unset; use transport.link.down_bps
-
-  /// `transport` with the deprecated shim fields folded in — what the
-  /// Network actually runs.
-  TransportConfig resolved_transport() const;
-
   /// Actionable description of the first invalid field, or nullopt when the
   /// config is usable. Scenario runners reject invalid configs on entry.
   std::optional<std::string> validate() const;
@@ -181,12 +168,6 @@ class Network {
   }
   /// Transport introspection (mode, cwnd state) for tests and benches.
   const Transport& transport() const { return transport_; }
-
-  // --- Deprecated shims (one release): pre-LinkSpec per-node bandwidth
-  // surface. set_bandwidth preserves the node's queue_bytes.
-  void set_bandwidth(NodeId id, double uplink_bps, double downlink_bps);
-  double uplink_bps(NodeId id) { return link(id).up_bps; }
-  double downlink_bps(NodeId id) { return link(id).down_bps; }
 
   /// Overlapping named partitions. Each partition splits the node space into
   /// groups: listed nodes belong to their group, unlisted nodes to one

@@ -80,6 +80,26 @@ TEST(TraceTool, ParsesEscapesSkipsBlanksRejectsGarbage) {
   }
 }
 
+TEST(TraceTool, ErrorsNameTheStreamLineAndField) {
+  const auto message = [](auto parse, const char* text) -> std::string {
+    std::istringstream in(text);
+    try {
+      parse(in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const auto trace = [](std::istream& in) { tt::parse_jsonl(in); };
+  const auto series = [](std::istream& in) { tt::parse_series_jsonl(in); };
+  EXPECT_EQ(message(trace, "{\"t\":1}\n\n{\"t\":-3}\n"),
+            "trace line 3: t: expected a non-negative integer, got a "
+            "negative one");
+  EXPECT_EQ(message(trace, "[1]\n"), "trace line 1: expected a JSON object");
+  EXPECT_EQ(message(series, "{\"t\":1,\"series\":7}\n"),
+            "series line 1: series: expected a string, got a number");
+}
+
 TEST(TraceTool, SummaryTextIsPinned) {
   const auto s = tt::summarize(parse_fixture());
   EXPECT_EQ(tt::summary_text(s),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <iomanip>
 #include <istream>
 #include <sstream>
@@ -11,119 +10,55 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "sim/jsonlite.hpp"
+
 namespace decentnet::tracetool {
+
+namespace jl = sim::jsonlite;
 
 namespace {
 
-[[noreturn]] void bad_line(std::size_t lineno, const std::string& why) {
-  throw std::runtime_error("trace line " + std::to_string(lineno) + ": " +
-                           why);
-}
-
-/// Parse one JSONL object. The writer emits a flat object with string and
-/// unsigned-integer values only; this parser accepts exactly that shape (in
-/// any key order) and rejects everything else.
-Record parse_line(const std::string& line, std::size_t lineno) {
-  Record rec;
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  const auto expect = [&](char c) {
-    skip_ws();
-    if (i >= line.size() || line[i] != c) {
-      bad_line(lineno, std::string("expected '") + c + "'");
-    }
-    ++i;
-  };
-  const auto parse_string = [&]() -> std::string {
-    expect('"');
-    std::string out;
-    while (i < line.size() && line[i] != '"') {
-      char c = line[i++];
-      if (c == '\\') {
-        if (i >= line.size()) bad_line(lineno, "dangling escape");
-        const char esc = line[i++];
-        if (esc == 'u') {
-          if (i + 4 > line.size()) bad_line(lineno, "short \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = line[i++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else bad_line(lineno, "bad \\u escape");
-          }
-          c = code < 256 ? static_cast<char>(code) : '?';
-        } else {
-          c = esc;  // \" \\ \/ come back verbatim; \n etc. never emitted
-        }
+/// Call `fn(obj)` for every non-blank line of `in`, parsed as one JSON
+/// object. A malformed line throws std::runtime_error naming the stream
+/// (`what`) and the 1-based line number; type errors name the field.
+template <typename Fn>
+void for_each_object(std::istream& in, const char* what, Fn fn) {
+  std::string line;
+  std::size_t lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    try {
+      const jl::JsonValue obj = jl::parse(line);
+      if (obj.kind != jl::JsonValue::Kind::Object) {
+        throw std::invalid_argument("expected a JSON object");
       }
-      out += c;
+      fn(obj);
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(std::string(what) + " line " +
+                               std::to_string(lineno) + ": " + e.what());
     }
-    expect('"');
-    return out;
-  };
-  const auto parse_uint = [&]() -> std::uint64_t {
-    skip_ws();
-    if (i >= line.size() || line[i] < '0' || line[i] > '9') {
-      bad_line(lineno, "expected integer");
-    }
-    std::uint64_t v = 0;
-    while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(line[i++] - '0');
-    }
-    return v;
-  };
-
-  expect('{');
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return rec;  // empty object
-  while (true) {
-    const std::string key = parse_string();
-    expect(':');
-    skip_ws();
-    if (key == "kind") {
-      rec.kind = parse_string();
-    } else if (key == "tag") {
-      rec.tag = parse_string();
-    } else if (i < line.size() && line[i] == '"') {
-      parse_string();  // unknown string field: tolerate and drop
-    } else {
-      const std::uint64_t v = parse_uint();
-      if (key == "t") rec.t = static_cast<std::int64_t>(v);
-      else if (key == "id") rec.id = v;
-      else if (key == "a") rec.a = v;
-      else if (key == "b") rec.b = v;
-      else if (key == "bytes") rec.bytes = v;
-      else if (key == "queue_us") rec.queue_us = v;
-      // unknown numeric fields are tolerated and dropped
-    }
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
-    }
-    expect('}');
-    break;
   }
-  return rec;
 }
 
 }  // namespace
 
 std::vector<Record> parse_jsonl(std::istream& in) {
+  // Known fields are typed; unknown fields are tolerated and dropped.
   std::vector<Record> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    std::size_t first = line.find_first_not_of(" \t");
-    if (first == std::string::npos) continue;
-    out.push_back(parse_line(line, lineno));
-  }
+  for_each_object(in, "trace", [&](const jl::JsonValue& obj) {
+    Record& rec = out.emplace_back();
+    for (const auto& [key, v] : obj.members) {
+      if (key == "kind") rec.kind = v.as_string(key);
+      else if (key == "tag") rec.tag = v.as_string(key);
+      else if (key == "t") rec.t = static_cast<std::int64_t>(v.as_uint(key));
+      else if (key == "id") rec.id = v.as_uint(key);
+      else if (key == "a") rec.a = v.as_uint(key);
+      else if (key == "b") rec.b = v.as_uint(key);
+      else if (key == "bytes") rec.bytes = v.as_uint(key);
+      else if (key == "queue_us") rec.queue_us = v.as_uint(key);
+    }
+  });
   return out;
 }
 
@@ -377,80 +312,6 @@ std::string chrome_trace_json(const std::vector<Tree>& trees) {
 
 namespace {
 
-[[noreturn]] void bad_series_line(std::size_t lineno, const std::string& why) {
-  throw std::runtime_error("series line " + std::to_string(lineno) + ": " +
-                           why);
-}
-
-/// Parse one series record. Same flat-object discipline as parse_line, but
-/// the "v" value is a full double (the sink writes shortest round-trip
-/// form: "3", "0.5", "1e+20", negatives included).
-Sample parse_series_line(const std::string& line, std::size_t lineno) {
-  Sample s;
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  const auto expect = [&](char c) {
-    skip_ws();
-    if (i >= line.size() || line[i] != c) {
-      bad_series_line(lineno, std::string("expected '") + c + "'");
-    }
-    ++i;
-  };
-  const auto parse_string = [&]() -> std::string {
-    expect('"');
-    std::string out;
-    while (i < line.size() && line[i] != '"') {
-      char c = line[i++];
-      if (c == '\\') {
-        if (i >= line.size()) bad_series_line(lineno, "dangling escape");
-        c = line[i++];  // series names are plain identifiers; \" \\ suffice
-      }
-      out += c;
-    }
-    expect('"');
-    return out;
-  };
-  const auto parse_number = [&]() -> double {
-    skip_ws();
-    const char* begin = line.c_str() + i;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) bad_series_line(lineno, "expected number");
-    i += static_cast<std::size_t>(end - begin);
-    return v;
-  };
-
-  expect('{');
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return s;  // empty object
-  while (true) {
-    const std::string key = parse_string();
-    expect(':');
-    skip_ws();
-    if (key == "series") {
-      s.series = parse_string();
-    } else if (i < line.size() && line[i] == '"') {
-      parse_string();  // unknown string field: tolerate and drop
-    } else {
-      const double v = parse_number();
-      if (key == "t") s.t = static_cast<std::int64_t>(v);
-      else if (key == "shard") s.shard = static_cast<std::uint32_t>(v);
-      else if (key == "v") s.v = v;
-      // unknown numeric fields are tolerated and dropped
-    }
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
-    }
-    expect('}');
-    break;
-  }
-  return s;
-}
-
 /// Shortest round-trip double formatting — the exact bytes the sink wrote,
 /// so the CSV export round-trips values losslessly.
 std::string fmt_double(double v) {
@@ -473,22 +334,25 @@ std::string fmt_stat(double v) {
 }  // namespace
 
 std::vector<Sample> parse_series_jsonl(std::istream& in) {
+  // Same discipline as parse_jsonl, but "v" is a full double (the sink
+  // writes shortest round-trip form: "3", "0.5", "1e+20", negatives too).
   std::vector<Sample> out;
-  std::string line;
-  std::size_t lineno = 0;
   std::uint32_t segment = 0;
   std::int64_t prev_t = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const std::size_t first = line.find_first_not_of(" \t");
-    if (first == std::string::npos) continue;
-    Sample s = parse_series_line(line, lineno);
+  for_each_object(in, "series", [&](const jl::JsonValue& obj) {
+    Sample& s = out.emplace_back();
+    for (const auto& [key, v] : obj.members) {
+      if (key == "series") s.series = v.as_string(key);
+      else if (key == "t") s.t = static_cast<std::int64_t>(v.as_number(key));
+      else if (key == "shard") {
+        s.shard = static_cast<std::uint32_t>(v.as_uint(key));
+      }
+      else if (key == "v") s.v = v.as_number(key);
+    }
     if (s.t < prev_t) ++segment;  // fresh run appended to the same file
     prev_t = s.t;
     s.segment = segment;
-    out.push_back(std::move(s));
-  }
+  });
   return out;
 }
 
