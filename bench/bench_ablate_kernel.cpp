@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,7 +31,9 @@
 #include "chain/types.hpp"
 #include "chain/wallet.hpp"
 #include "crypto/hash.hpp"
+#include "crypto/keys.hpp"
 #include "crypto/merkle.hpp"
+#include "crypto/sha256_detail.hpp"
 #include "sim/sharding.hpp"
 #include "sim/simulator.hpp"
 #include "sim/telemetry.hpp"
@@ -522,30 +525,70 @@ int main(int argc, char** argv) {
                                       0)}});
   }
 
-  // Real SHA-256 over message-sized payloads (rate column is MB/s here).
-  for (const std::size_t size :
-       {std::size_t{64}, std::size_t{1024}, std::size_t{65536}}) {
-    const std::string payload(size, 'x');
+  // Real SHA-256 over message-sized payloads (rate column is MB/s here),
+  // through the portable compression function and through the one the
+  // process dispatches to (the x86 SHA extensions when the CPU has them).
+  // Both rows always appear, so the JSON artifact is the same on any host.
+  using Sha256Fn = crypto::Hash256 (*)(std::span<const std::uint8_t>);
+  const std::pair<const char*, Sha256Fn> kImpls[] = {
+      {"portable", crypto::detail::sha256_portable},
+      {"dispatched",
+       [](std::span<const std::uint8_t> d) { return crypto::sha256(d); }}};
+  for (const auto& [impl, hash] : kImpls) {
+    for (const std::size_t size :
+         {std::size_t{64}, std::size_t{1024}, std::size_t{65536}}) {
+      const std::string payload(size, 'x');
+      std::uint64_t items = 0;
+      const auto [reps, secs] = measure(
+          [&] {
+            std::uint64_t acc = 0;
+            for (int i = 0; i < 64; ++i) {
+              acc += hash(crypto::as_bytes(payload)).bytes[0] & 1u;
+            }
+            return std::uint64_t{64} + (acc & 0u);
+          },
+          items);
+      (void)reps;
+      ex.add_row({{"micro", "sha256_mb_per_s"},
+                  {"kernel", "-"},
+                  {"impl", impl},
+                  {"arg", std::uint64_t{size}},
+                  {"events_per_rep", std::uint64_t{64}},
+                  {"rate_per_s",
+                   bench::Value::timing(static_cast<double>(items) *
+                                            static_cast<double>(size) / secs /
+                                            1e6,
+                                        1)}});
+    }
+  }
+
+  // Signature check on a 32-byte digest: one HMAC-SHA256 (four compression
+  // calls) plus the authority's key lookup, paid per transaction input.
+  {
+    auto& authority = crypto::KeyAuthority::global();
+    const crypto::PrivateKey key = authority.issue(0xBEEF3);
+    const crypto::PublicKey pub = key.public_key();
+    const crypto::Hash256 digest = crypto::sha256("hmac_verify");
+    const crypto::Signature sig = key.sign(digest);
     std::uint64_t items = 0;
     const auto [reps, secs] = measure(
         [&] {
-          std::uint64_t acc = 0;
+          std::uint64_t ok = 0;
           for (int i = 0; i < 64; ++i) {
-            acc += crypto::sha256(payload).bytes[0] & 1u;
+            if (authority.verify(pub, digest, sig)) ++ok;
           }
-          return std::uint64_t{64} + (acc & 0u);
+          return ok;
         },
         items);
     (void)reps;
-    ex.add_row({{"micro", "sha256_mb_per_s"},
+    ex.add_row({{"micro", "hmac_verify"},
                 {"kernel", "-"},
-                {"arg", std::uint64_t{size}},
+                {"impl", "dispatched"},
+                {"arg", std::uint64_t{32}},
                 {"events_per_rep", std::uint64_t{64}},
                 {"rate_per_s",
-                 bench::Value::timing(static_cast<double>(items) *
-                                          static_cast<double>(size) / secs /
-                                          1e6,
-                                      1)}});
+                 bench::Value::timing(static_cast<double>(items) / secs,
+                                      0)}});
   }
 
   // Merkle root over leaf batches (per-block cost; rate is leaves/s).

@@ -19,14 +19,8 @@ class ByteWriter {
     buf_.push_back(v);
     return *this;
   }
-  ByteWriter& u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    return *this;
-  }
-  ByteWriter& u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    return *this;
-  }
+  ByteWriter& u32(std::uint32_t v) { return little_endian(v); }
+  ByteWriter& u64(std::uint64_t v) { return little_endian(v); }
   ByteWriter& i64(std::int64_t v) { return u64(static_cast<std::uint64_t>(v)); }
   ByteWriter& hash(const Hash256& h) {
     buf_.insert(buf_.end(), h.bytes.begin(), h.bytes.end());
@@ -49,6 +43,16 @@ class ByteWriter {
   Hash256 sha256d() const { return crypto::sha256d(bytes()); }
 
  private:
+  template <typename T>
+  ByteWriter& little_endian(T v) {
+    std::uint8_t le[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    buf_.insert(buf_.end(), le, le + sizeof(T));
+    return *this;
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 

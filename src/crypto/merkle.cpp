@@ -1,15 +1,15 @@
 #include "crypto/merkle.hpp"
 
+#include <cstring>
 #include <stdexcept>
-
-#include "crypto/buffer.hpp"
 
 namespace decentnet::crypto {
 
 Hash256 MerkleTree::parent(const Hash256& left, const Hash256& right) {
-  ByteWriter w;
-  w.hash(left).hash(right);
-  return w.sha256();
+  std::uint8_t pair[64];
+  std::memcpy(pair, left.bytes.data(), 32);
+  std::memcpy(pair + 32, right.bytes.data(), 32);
+  return sha256(std::span<const std::uint8_t>(pair));
 }
 
 MerkleTree::MerkleTree(std::vector<Hash256> leaves)
