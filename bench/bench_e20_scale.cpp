@@ -22,7 +22,9 @@
 // Knobs (repeatable `--param K=V`):
 //   max_n=N            drop sweep points above N (CI smoke uses max_n=1000;
 //                      the default keeps the 1M point opt-in —
-//                      max_n=1000000 enables it)
+//                      max_n=1000000 enables it); N < 1000 runs both points
+//                      at N nodes, and N < 2 is rejected (exit 2): a gossip
+//                      view needs a peer other than its owner
 //   lookups=K          Kademlia lookups per point        (default 2000)
 //   rumors=K           gossip broadcasts per point       (default 10)
 //   timings_in_json=0  demote wall-clock/events-per-sec/peak-RSS cells to
@@ -34,13 +36,13 @@
 //                      it decides the parallel window width; 20 ms clamps
 //                      ~0.03% of the 80 ms-median lognormal draws.
 //
-// Sharded mode (--sim-shards S, S > 1): the point runs on a
-// sim::ShardedKernel — hosts spread over S shards, cross-shard messages
-// through deterministic mailboxes. Results depend on S (a different, equally
-// valid universe than the single-kernel run: per-shard RNG streams, pre-drawn
-// lookup initiators) but NEVER on --sim-threads, which is the determinism
-// contract CI byte-checks. --sim-shards 1 (the default) is the historical
-// single-kernel path, bit-for-bit.
+// Every point runs on a sim::ShardedKernel of --sim-shards S through the same
+// code: hosts spread over S shards, cross-shard messages through
+// deterministic mailboxes. Results depend on S (a different, equally valid
+// universe than the single-kernel run: per-shard RNG streams, per-peer churn
+// streams) but NEVER on --sim-threads, which is the determinism contract CI
+// byte-checks. --sim-shards 1 (the default) is the plain single kernel,
+// bit-for-bit.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -52,14 +54,9 @@
 #include "bench_util.hpp"
 #include "crypto/hash.hpp"
 #include "net/churn.hpp"
-#include "net/latency.hpp"
-#include "net/network.hpp"
 #include "overlay/gossip.hpp"
 #include "overlay/kademlia.hpp"
-#include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
-#include "sim/sharding.hpp"
-#include "sim/simulator.hpp"
 
 namespace net = decentnet::net;
 namespace overlay = decentnet::overlay;
@@ -87,26 +84,69 @@ net::ChurnConfig scale_churn() {
   return churn;
 }
 
-void run_kademlia_point(std::size_t n, std::size_t lookups, bool json_timings,
+/// What every point shares: population, decomposition and JSON mode.
+struct PointConfig {
+  std::size_t n;
+  std::size_t shards;
+  std::size_t threads;
+  sim::SimDuration min_lat;  // latency floor when sharded
+  bool json_timings;
+};
+
+/// LogNormal(80 ms, 0.4) links. The floor is the kernel's lookahead window:
+/// min_lat_ms when sharded, the 1 ms default on one shard.
+std::unique_ptr<net::LatencyModel> point_latency(const PointConfig& pc) {
+  return std::make_unique<net::LogNormalLatency>(
+      sim::millis(80), 0.4, pc.shards > 1 ? pc.min_lat : sim::millis(1));
+}
+
+using Row = std::vector<std::pair<std::string, sim::Value>>;
+
+/// A row's leading cells; a sharded run adds its shard count.
+Row row_head(const char* overlay, const bench::ScaleNet& world) {
+  Row row{{"overlay", overlay},
+          {"n", static_cast<std::uint64_t>(world.addrs.size())}};
+  if (world.sharded()) {
+    row.emplace_back("shards",
+                     static_cast<std::uint64_t>(world.kernel.shard_count()));
+  }
+  return row;
+}
+
+/// A row's trailing cells; a sharded run adds its window count.
+void finish_row(Row& row, const bench::ScaleNet& world,
+                const bench::WallClock& wall, bool json_timings,
+                sim::PointScope& scope) {
+  const auto events = world.kernel.total_events_processed();
+  row.emplace_back("msgs", world.netw.messages_sent());
+  row.emplace_back("events", events);
+  if (world.sharded()) {
+    row.emplace_back("windows", world.kernel.windows_run());
+  }
+  bench::append_timing_cells(row, wall, events, json_timings);
+  scope.add_row(std::move(row));
+}
+
+void run_kademlia_point(const PointConfig& pc, std::size_t lookups,
                         sim::PointScope& scope) {
   const bench::WallClock wall;
-  sim::Simulator simu(scope.seed());
-  scope.instrument(simu);
-  net::Network netw(simu,
-                    std::make_unique<net::LogNormalLatency>(sim::millis(80),
-                                                            0.4),
-                    net::NetworkConfig{.expected_nodes = n}, &scope.metrics());
-  if (sim::Telemetry* const tel = scope.telemetry()) {
-    netw.register_telemetry(*tel);
-  }
+  const std::size_t n = pc.n;
+  bench::ScaleNet world(scope.seed(), pc.shards, n, point_latency(pc),
+                        net::NetworkConfig{.expected_nodes = n}, scope);
+  net::Network& netw = world.netw;
+  const std::vector<net::NodeId>& addrs = world.addrs;
 
   overlay::KademliaConfig kcfg;
   // Bucket refreshes would add an O(N·buckets) lookup storm mid-window;
   // churn already exercises table repair, so push refreshes out of frame.
   kcfg.refresh_interval = sim::hours(6);
 
-  std::vector<net::NodeId> addrs(n);
-  for (std::size_t i = 0; i < n; ++i) addrs[i] = netw.new_node_id();
+  // Result buffers, one per initiator shard (single writer each; merged in
+  // shard order after the run). Declared before the nodes: ~KademliaNode
+  // fails any still-pending lookup, and that callback writes here.
+  std::vector<std::vector<overlay::LookupResult>> results(pc.shards);
+  std::vector<std::size_t> skipped(pc.shards, 0);
+
   std::vector<std::unique_ptr<overlay::KademliaNode>> nodes;
   nodes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -144,7 +184,7 @@ void run_kademlia_point(std::size_t n, std::size_t lookups, bool json_timings,
   // Churn: rejoining peers bootstrap through a surviving sorted-id neighbor
   // (their table persists across the offline gap, as in real clients).
   net::ChurnDriver churn(
-      simu, n, scale_churn(),
+      world.kernel.shard(0), n, scale_churn(),
       [&](std::size_t i) {
         if (nodes[i]->online()) return;
         nodes[i]->join(nodes[i]->routing_table().empty()
@@ -155,75 +195,80 @@ void run_kademlia_point(std::size_t n, std::size_t lookups, bool json_timings,
       [&](std::size_t i) {
         if (nodes[i]->online()) nodes[i]->leave();
       });
+  // Sharded, each peer's transitions execute on the shard that owns its
+  // node (router mode forks per-peer RNG streams).
+  if (world.sharded()) {
+    churn.set_shard_router(
+        [&](std::size_t i) -> sim::Simulator& { return world.sim_for(i); });
+  }
   churn.start();
 
-  std::vector<overlay::LookupResult> results;
-  results.reserve(lookups);
-  std::size_t skipped_offline = 0;
+  // Initiators are pre-drawn in lookup order: a draw at event time from the
+  // shared stream would depend on shard order. On one shard the lookups
+  // fire in that same order, so the draws are the same either way.
   for (std::size_t q = 0; q < lookups; ++q) {
+    const std::size_t who = rng.uniform_int(n);
+    const std::size_t sh = world.shard_of(who);
     const auto at = sim::seconds(5) + sim::millis(15) * q;
-    simu.post(at, [&, q] {
-      const std::size_t who = rng.uniform_int(n);
+    world.sim_for(who).post(at, [&, q, who, sh] {
       if (!nodes[who]->online()) {
-        ++skipped_offline;
+        ++skipped[sh];
         return;
       }
       const overlay::Key target =
           crypto::sha256("e20-target-" + std::to_string(q));
-      nodes[who]->lookup(target, [&](overlay::LookupResult r) {
-        results.push_back(std::move(r));
+      nodes[who]->lookup(target, [&results, sh](overlay::LookupResult r) {
+        results[sh].push_back(std::move(r));
       });
     });
   }
   const auto horizon =
       sim::seconds(10) + sim::millis(15) * lookups + sim::seconds(5);
-  simu.run_until(horizon);
+  world.kernel.run_until(horizon, pc.threads);
   churn.stop();
+  world.kernel.merge_metrics_into(scope.metrics());
 
   double hops_sum = 0, rpcs_sum = 0;
-  std::size_t timeouts = 0, successes = 0;
+  std::size_t timeouts = 0, successes = 0, completed_n = 0, skipped_offline = 0;
   std::vector<double> latencies_ms;
-  latencies_ms.reserve(results.size());
-  for (const auto& r : results) {
-    hops_sum += static_cast<double>(r.hops);
-    rpcs_sum += static_cast<double>(r.rpcs_sent);
-    timeouts += r.timeouts;
-    if (!r.closest.empty()) ++successes;
-    latencies_ms.push_back(sim::to_millis(r.elapsed));
+  for (std::size_t sh = 0; sh < pc.shards; ++sh) {
+    skipped_offline += skipped[sh];
+    for (const auto& r : results[sh]) {
+      ++completed_n;
+      hops_sum += static_cast<double>(r.hops);
+      rpcs_sum += static_cast<double>(r.rpcs_sent);
+      timeouts += r.timeouts;
+      if (!r.closest.empty()) ++successes;
+      latencies_ms.push_back(sim::to_millis(r.elapsed));
+    }
   }
-  const double completed = std::max<double>(1, results.size());
-  const auto events = simu.total_events_processed();
-  std::vector<std::pair<std::string, sim::Value>> row{
-      {"overlay", "kademlia"},
-      {"n", static_cast<std::uint64_t>(n)},
-      {"online_end", static_cast<std::uint64_t>(churn.online_count())},
-      {"lookups", static_cast<std::uint64_t>(results.size())},
-      {"skipped_offline", static_cast<std::uint64_t>(skipped_offline)},
-      {"success_pct", sim::Value(100.0 * successes / completed, 2)},
-      {"mean_hops", sim::Value(hops_sum / completed, 2)},
-      {"p50_ms", sim::Value(percentile(latencies_ms, 0.50), 1)},
-      {"p99_ms", sim::Value(percentile(latencies_ms, 0.99), 1)},
-      {"mean_rpcs", sim::Value(rpcs_sum / completed, 1)},
-      {"rpc_timeouts", static_cast<std::uint64_t>(timeouts)},
-      {"msgs", netw.messages_sent()},
-      {"events", events},
-  };
-  bench::append_timing_cells(row, wall, events, json_timings);
-  scope.add_row(std::move(row));
+  const double completed = std::max<double>(1, completed_n);
+  Row row = row_head("kademlia", world);
+  row.insert(row.end(),
+             {
+                 {"online_end",
+                  static_cast<std::uint64_t>(churn.online_count())},
+                 {"lookups", static_cast<std::uint64_t>(completed_n)},
+                 {"skipped_offline",
+                  static_cast<std::uint64_t>(skipped_offline)},
+                 {"success_pct", sim::Value(100.0 * successes / completed, 2)},
+                 {"mean_hops", sim::Value(hops_sum / completed, 2)},
+                 {"p50_ms", sim::Value(percentile(latencies_ms, 0.50), 1)},
+                 {"p99_ms", sim::Value(percentile(latencies_ms, 0.99), 1)},
+                 {"mean_rpcs", sim::Value(rpcs_sum / completed, 1)},
+                 {"rpc_timeouts", static_cast<std::uint64_t>(timeouts)},
+             });
+  finish_row(row, world, wall, pc.json_timings, scope);
 }
 
-void run_gossip_point(std::size_t n, std::size_t rumors, bool json_timings,
+void run_gossip_point(const PointConfig& pc, std::size_t rumors,
                       sim::PointScope& scope) {
   const bench::WallClock wall;
-  sim::Simulator simu(scope.seed());
-  scope.instrument(simu);
-  net::Network netw(simu,
-                    std::make_unique<net::LogNormalLatency>(sim::millis(80),
-                                                            0.4),
-                    net::NetworkConfig{.expected_nodes = n}, &scope.metrics());
-  if (sim::Telemetry* const tel = scope.telemetry()) {
-    netw.register_telemetry(*tel);
-  }
+  const std::size_t n = pc.n;
+  bench::ScaleNet world(scope.seed(), pc.shards, n, point_latency(pc),
+                        net::NetworkConfig{.expected_nodes = n}, scope);
+  net::Network& netw = world.netw;
+  const std::vector<net::NodeId>& addrs = world.addrs;
 
   overlay::GossipConfig gcfg;
   gcfg.view_size = 16;
@@ -232,17 +277,22 @@ void run_gossip_point(std::size_t n, std::size_t rumors, bool json_timings,
   gcfg.fanout = 6;
   gcfg.message_bytes = 256;
 
-  std::vector<net::NodeId> addrs(n);
-  for (std::size_t i = 0; i < n; ++i) addrs[i] = netw.new_node_id();
+  // First-delivery times per rumor, bucketed by the receiving node's shard
+  // (single writer each) and merged in shard order for the t99
+  // computation. Declared before the nodes so the deliver hooks never
+  // outlive their buffer.
+  std::vector<std::vector<std::vector<sim::SimTime>>> deliv(
+      pc.shards, std::vector<std::vector<sim::SimTime>>(rumors));
   std::vector<std::unique_ptr<overlay::GossipNode>> nodes;
   nodes.reserve(n);
-  // First delivery times per rumor, in sim time, for the t99 computation.
-  std::vector<std::vector<sim::SimTime>> deliveries(rumors);
   for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(std::make_unique<overlay::GossipNode>(netw, addrs[i], gcfg));
+    nodes.push_back(
+        std::make_unique<overlay::GossipNode>(netw, addrs[i], gcfg));
+    const std::size_t sh = world.shard_of(i);
+    sim::Simulator* nsim = &world.sim_for(i);
     nodes.back()->set_deliver_hook(
-        [&deliveries, &simu](overlay::RumorId rumor, std::size_t) {
-          deliveries[rumor].push_back(simu.now());
+        [&deliv, sh, nsim](overlay::RumorId rumor, std::size_t) {
+          deliv[sh][rumor].push_back(nsim->now());
         });
   }
 
@@ -264,7 +314,7 @@ void run_gossip_point(std::size_t n, std::size_t rumors, bool json_timings,
 
   // Node 0 originates every rumor, so keep it out of the churn population.
   net::ChurnDriver churn(
-      simu, n - 1, scale_churn(),
+      world.kernel.shard(0), n - 1, scale_churn(),
       [&](std::size_t i) {
         if (nodes[i + 1]->online()) return;
         std::vector<net::NodeId> view;
@@ -276,287 +326,15 @@ void run_gossip_point(std::size_t n, std::size_t rumors, bool json_timings,
       [&](std::size_t i) {
         if (nodes[i + 1]->online()) nodes[i + 1]->leave();
       });
-  churn.start();
-
-  std::vector<sim::SimTime> sent_at(rumors);
-  for (std::size_t r = 0; r < rumors; ++r) {
-    const auto at = sim::seconds(2) + sim::seconds(3) * r;
-    simu.post(at, [&, r] {
-      sent_at[r] = simu.now();
-      nodes[0]->broadcast(static_cast<overlay::RumorId>(r),
-                          gcfg.message_bytes);
-    });
+  if (world.sharded()) {
+    churn.set_shard_router(
+        [&](std::size_t i) -> sim::Simulator& { return world.sim_for(i + 1); });
   }
-  simu.run_until(sim::seconds(2) + sim::seconds(3) * rumors +
-                 sim::seconds(20));
-  churn.stop();
-
-  double coverage_sum = 0, t99_sum = 0;
-  for (std::size_t r = 0; r < rumors; ++r) {
-    auto& times = deliveries[r];
-    coverage_sum += static_cast<double>(times.size()) / n;
-    if (!times.empty()) {
-      std::sort(times.begin(), times.end());
-      const auto idx = static_cast<std::size_t>(0.99 * (times.size() - 1));
-      t99_sum += sim::to_millis(times[idx] - sent_at[r]);
-    }
-  }
-  std::uint64_t duplicates = 0, delivered = 0;
-  for (std::size_t r = 0; r < rumors; ++r) delivered += deliveries[r].size();
-  for (const auto& node : nodes) duplicates += node->duplicates_received();
-
-  const auto events = simu.total_events_processed();
-  std::vector<std::pair<std::string, sim::Value>> row{
-      {"overlay", "gossip"},
-      {"n", static_cast<std::uint64_t>(n)},
-      {"online_end", static_cast<std::uint64_t>(churn.online_count() + 1)},
-      {"rumors", static_cast<std::uint64_t>(rumors)},
-      {"coverage_pct", sim::Value(100.0 * coverage_sum / rumors, 2)},
-      {"t99_ms", sim::Value(t99_sum / rumors, 1)},
-      {"dupes_per_delivery",
-       sim::Value(static_cast<double>(duplicates) / std::max<std::uint64_t>(
-                                                        1, delivered),
-                  2)},
-      {"msgs", netw.messages_sent()},
-      {"events", events},
-  };
-  bench::append_timing_cells(row, wall, events, json_timings);
-  scope.add_row(std::move(row));
-}
-
-/// Everything the two sharded points share: kernel + sharded network +
-/// registered population. The latency floor (`min_lat`) doubles as the
-/// kernel's lookahead window.
-struct ShardedNet {
-  sim::ShardedKernel kernel;
-  net::Network netw;
-  std::vector<net::NodeId> addrs;
-
-  ShardedNet(std::size_t n, std::size_t shards, sim::SimDuration min_lat,
-             sim::PointScope& scope)
-      : kernel(scope.seed(), shards),
-        netw(kernel.shard(0),
-             std::make_unique<net::LogNormalLatency>(sim::millis(80), 0.4,
-                                                     min_lat),
-             net::NetworkConfig{.expected_nodes = n}, &scope.metrics()),
-        addrs(n) {
-    scope.instrument(kernel);
-    netw.enable_sharding(kernel);
-    if (sim::Telemetry* const tel = scope.telemetry()) {
-      netw.register_telemetry(*tel);
-    }
-    for (std::size_t i = 0; i < n; ++i) addrs[i] = netw.new_node_id();
-    // The peer table is find-only during parallel windows, so the whole
-    // population registers before the first event.
-    for (std::size_t i = 0; i < n; ++i) netw.register_node(addrs[i]);
-  }
-
-  std::size_t shard_of(std::size_t i) const {
-    return kernel.shard_of(addrs[i].value) % kernel.shard_count();
-  }
-};
-
-void run_kademlia_point_sharded(std::size_t n, std::size_t lookups,
-                                bool json_timings, std::size_t shards,
-                                std::size_t threads, sim::SimDuration min_lat,
-                                sim::PointScope& scope) {
-  const bench::WallClock wall;
-  ShardedNet net(n, shards, min_lat, scope);
-  sim::ShardedKernel& kernel = net.kernel;
-  net::Network& netw = net.netw;
-  std::vector<net::NodeId>& addrs = net.addrs;
-
-  overlay::KademliaConfig kcfg;
-  kcfg.refresh_interval = sim::hours(6);
-
-  // Result buffers, one per initiator shard (single writer each; merged in
-  // shard order after the run). Declared before the nodes: ~KademliaNode
-  // fails any still-pending lookup, and that callback writes here.
-  std::vector<std::vector<overlay::LookupResult>> results(shards);
-  std::vector<std::size_t> skipped(shards, 0);
-
-  std::vector<std::unique_ptr<overlay::KademliaNode>> nodes;
-  nodes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(
-        std::make_unique<overlay::KademliaNode>(netw, addrs[i], kcfg));
-  }
-
-  // Same warm-up as the single-kernel point (driver thread, before any
-  // window runs).
-  std::vector<std::size_t> by_id(n);
-  for (std::size_t i = 0; i < n; ++i) by_id[i] = i;
-  std::sort(by_id.begin(), by_id.end(), [&](std::size_t a, std::size_t b) {
-    return nodes[a]->id() < nodes[b]->id();
-  });
-  sim::Rng rng(scope.seed() ^ 0xE20);
-  const std::size_t kNeighbors = 8;
-  const std::size_t kRandom = 16;
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    const std::size_t i = by_id[pos];
-    nodes[i]->join({});
-    for (std::size_t d = 1; d <= kNeighbors; ++d) {
-      const std::size_t lo = by_id[(pos + n - d) % n];
-      const std::size_t hi = by_id[(pos + d) % n];
-      nodes[i]->observe({nodes[lo]->id(), addrs[lo]});
-      nodes[i]->observe({nodes[hi]->id(), addrs[hi]});
-    }
-    for (std::size_t r = 0; r < kRandom; ++r) {
-      const std::size_t j = rng.uniform_int(n);
-      if (j != i) nodes[i]->observe({nodes[j]->id(), addrs[j]});
-    }
-  }
-
-  net::ChurnDriver churn(
-      kernel.shard(0), n, scale_churn(),
-      [&](std::size_t i) {
-        if (nodes[i]->online()) return;
-        nodes[i]->join(nodes[i]->routing_table().empty()
-                           ? std::vector<overlay::Contact>{}
-                           : std::vector<overlay::Contact>{
-                                 nodes[i]->routing_table().front()});
-      },
-      [&](std::size_t i) {
-        if (nodes[i]->online()) nodes[i]->leave();
-      });
-  // Each peer's transitions execute on the shard that owns its node.
-  churn.set_shard_router([&](std::size_t i) -> sim::Simulator& {
-    return netw.simulator_for(addrs[i]);
-  });
-  churn.start();
-
-  // Initiators are pre-drawn (the single-kernel point draws at event time
-  // from a stream shared across all lookups, which would be shard-order
-  // dependent).
-  for (std::size_t q = 0; q < lookups; ++q) {
-    const std::size_t who = rng.uniform_int(n);
-    const std::size_t sh = net.shard_of(who);
-    const auto at = sim::seconds(5) + sim::millis(15) * q;
-    netw.simulator_for(addrs[who]).post(at, [&, q, who, sh] {
-      if (!nodes[who]->online()) {
-        ++skipped[sh];
-        return;
-      }
-      const overlay::Key target =
-          crypto::sha256("e20-target-" + std::to_string(q));
-      nodes[who]->lookup(target, [&results, sh](overlay::LookupResult r) {
-        results[sh].push_back(std::move(r));
-      });
-    });
-  }
-  const auto horizon =
-      sim::seconds(10) + sim::millis(15) * lookups + sim::seconds(5);
-  kernel.run_until(horizon, threads);
-  churn.stop();
-  kernel.merge_metrics_into(scope.metrics());
-
-  double hops_sum = 0, rpcs_sum = 0;
-  std::size_t timeouts = 0, successes = 0, completed_n = 0, skipped_offline = 0;
-  std::vector<double> latencies_ms;
-  for (std::size_t sh = 0; sh < shards; ++sh) {
-    skipped_offline += skipped[sh];
-    for (const auto& r : results[sh]) {
-      ++completed_n;
-      hops_sum += static_cast<double>(r.hops);
-      rpcs_sum += static_cast<double>(r.rpcs_sent);
-      timeouts += r.timeouts;
-      if (!r.closest.empty()) ++successes;
-      latencies_ms.push_back(sim::to_millis(r.elapsed));
-    }
-  }
-  const double completed = std::max<double>(1, completed_n);
-  const auto events = kernel.total_events_processed();
-  std::vector<std::pair<std::string, sim::Value>> row{
-      {"overlay", "kademlia"},
-      {"n", static_cast<std::uint64_t>(n)},
-      {"shards", static_cast<std::uint64_t>(shards)},
-      {"online_end", static_cast<std::uint64_t>(churn.online_count())},
-      {"lookups", static_cast<std::uint64_t>(completed_n)},
-      {"skipped_offline", static_cast<std::uint64_t>(skipped_offline)},
-      {"success_pct", sim::Value(100.0 * successes / completed, 2)},
-      {"mean_hops", sim::Value(hops_sum / completed, 2)},
-      {"p50_ms", sim::Value(percentile(latencies_ms, 0.50), 1)},
-      {"p99_ms", sim::Value(percentile(latencies_ms, 0.99), 1)},
-      {"mean_rpcs", sim::Value(rpcs_sum / completed, 1)},
-      {"rpc_timeouts", static_cast<std::uint64_t>(timeouts)},
-      {"msgs", netw.messages_sent()},
-      {"events", events},
-      {"windows", kernel.windows_run()},
-  };
-  bench::append_timing_cells(row, wall, events, json_timings);
-  scope.add_row(std::move(row));
-}
-
-void run_gossip_point_sharded(std::size_t n, std::size_t rumors,
-                              bool json_timings, std::size_t shards,
-                              std::size_t threads, sim::SimDuration min_lat,
-                              sim::PointScope& scope) {
-  const bench::WallClock wall;
-  ShardedNet net(n, shards, min_lat, scope);
-  sim::ShardedKernel& kernel = net.kernel;
-  net::Network& netw = net.netw;
-  std::vector<net::NodeId>& addrs = net.addrs;
-
-  overlay::GossipConfig gcfg;
-  gcfg.view_size = 16;
-  gcfg.shuffle_size = 8;
-  gcfg.shuffle_interval = sim::seconds(30);
-  gcfg.fanout = 6;
-  gcfg.message_bytes = 256;
-
-  // Delivery times bucketed by the receiving node's shard (single writer
-  // each), merged in shard order for the t99 computation. Declared before
-  // the nodes so the deliver hooks never outlive their buffer.
-  std::vector<std::vector<std::vector<sim::SimTime>>> deliv(
-      shards, std::vector<std::vector<sim::SimTime>>(rumors));
-  std::vector<std::unique_ptr<overlay::GossipNode>> nodes;
-  nodes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(
-        std::make_unique<overlay::GossipNode>(netw, addrs[i], gcfg));
-    const std::size_t sh = net.shard_of(i);
-    sim::Simulator* nsim = &netw.simulator_for(addrs[i]);
-    nodes.back()->set_deliver_hook(
-        [&deliv, sh, nsim](overlay::RumorId rumor, std::size_t) {
-          deliv[sh][rumor].push_back(nsim->now());
-        });
-  }
-
-  sim::Rng rng(scope.seed() ^ 0xE20);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<net::NodeId> view;
-    view.reserve(gcfg.view_size);
-    for (std::size_t d = 1; d <= gcfg.view_size / 2; ++d) {
-      view.push_back(addrs[(i + d) % n]);
-    }
-    while (view.size() < gcfg.view_size) {
-      const std::size_t j = rng.uniform_int(n);
-      if (j != i) view.push_back(addrs[j]);
-    }
-    nodes[i]->join(view);
-  }
-
-  net::ChurnDriver churn(
-      kernel.shard(0), n - 1, scale_churn(),
-      [&](std::size_t i) {
-        if (nodes[i + 1]->online()) return;
-        std::vector<net::NodeId> view;
-        for (std::size_t d = 1; d <= gcfg.view_size / 2; ++d) {
-          view.push_back(addrs[(i + 1 + d) % n]);
-        }
-        nodes[i + 1]->join(view);
-      },
-      [&](std::size_t i) {
-        if (nodes[i + 1]->online()) nodes[i + 1]->leave();
-      });
-  churn.set_shard_router([&](std::size_t i) -> sim::Simulator& {
-    return netw.simulator_for(addrs[i + 1]);
-  });
   churn.start();
 
   // Node 0 originates every rumor on its own shard; sent_at is written only
   // by that shard's worker.
-  sim::Simulator& origin_sim = netw.simulator_for(addrs[0]);
+  sim::Simulator& origin_sim = world.sim_for(0);
   std::vector<sim::SimTime> sent_at(rumors);
   for (std::size_t r = 0; r < rumors; ++r) {
     const auto at = sim::seconds(2) + sim::seconds(3) * r;
@@ -566,18 +344,20 @@ void run_gossip_point_sharded(std::size_t n, std::size_t rumors,
                           gcfg.message_bytes);
     });
   }
-  kernel.run_until(sim::seconds(2) + sim::seconds(3) * rumors +
-                       sim::seconds(20),
-                   threads);
+  world.kernel.run_until(
+      sim::seconds(2) + sim::seconds(3) * rumors + sim::seconds(20),
+      pc.threads);
   churn.stop();
-  kernel.merge_metrics_into(scope.metrics());
+  world.kernel.merge_metrics_into(scope.metrics());
 
   double coverage_sum = 0, t99_sum = 0;
+  std::uint64_t delivered = 0;
   for (std::size_t r = 0; r < rumors; ++r) {
     std::vector<sim::SimTime> times;
-    for (std::size_t sh = 0; sh < shards; ++sh) {
+    for (std::size_t sh = 0; sh < pc.shards; ++sh) {
       times.insert(times.end(), deliv[sh][r].begin(), deliv[sh][r].end());
     }
+    delivered += times.size();
     coverage_sum += static_cast<double>(times.size()) / n;
     if (!times.empty()) {
       std::sort(times.begin(), times.end());
@@ -585,31 +365,23 @@ void run_gossip_point_sharded(std::size_t n, std::size_t rumors,
       t99_sum += sim::to_millis(times[idx] - sent_at[r]);
     }
   }
-  std::uint64_t duplicates = 0, delivered = 0;
-  for (std::size_t sh = 0; sh < shards; ++sh) {
-    for (std::size_t r = 0; r < rumors; ++r) delivered += deliv[sh][r].size();
-  }
+  std::uint64_t duplicates = 0;
   for (const auto& node : nodes) duplicates += node->duplicates_received();
 
-  const auto events = kernel.total_events_processed();
-  std::vector<std::pair<std::string, sim::Value>> row{
-      {"overlay", "gossip"},
-      {"n", static_cast<std::uint64_t>(n)},
-      {"shards", static_cast<std::uint64_t>(shards)},
-      {"online_end", static_cast<std::uint64_t>(churn.online_count() + 1)},
-      {"rumors", static_cast<std::uint64_t>(rumors)},
-      {"coverage_pct", sim::Value(100.0 * coverage_sum / rumors, 2)},
-      {"t99_ms", sim::Value(t99_sum / rumors, 1)},
-      {"dupes_per_delivery",
-       sim::Value(static_cast<double>(duplicates) / std::max<std::uint64_t>(
-                                                        1, delivered),
-                  2)},
-      {"msgs", netw.messages_sent()},
-      {"events", events},
-      {"windows", kernel.windows_run()},
-  };
-  bench::append_timing_cells(row, wall, events, json_timings);
-  scope.add_row(std::move(row));
+  Row row = row_head("gossip", world);
+  row.insert(
+      row.end(),
+      {
+          {"online_end", static_cast<std::uint64_t>(churn.online_count() + 1)},
+          {"rumors", static_cast<std::uint64_t>(rumors)},
+          {"coverage_pct", sim::Value(100.0 * coverage_sum / rumors, 2)},
+          {"t99_ms", sim::Value(t99_sum / rumors, 1)},
+          {"dupes_per_delivery",
+           sim::Value(static_cast<double>(duplicates) /
+                          std::max<std::uint64_t>(1, delivered),
+                      2)},
+      });
+  finish_row(row, world, wall, pc.json_timings, scope);
 }
 
 }  // namespace
@@ -627,13 +399,17 @@ int main(int argc, char** argv) {
       "RSS");
 
   const std::uint64_t max_n = ex.cli_param_u64("max_n", 100000);
+  if (max_n < 2) {
+    std::fprintf(stderr, "--param max_n: must be at least 2: %llu\n",
+                 static_cast<unsigned long long>(max_n));
+    return 2;
+  }
   const std::size_t lookups =
       static_cast<std::size_t>(ex.cli_param_u64("lookups", 2000));
   const std::size_t rumors =
       static_cast<std::size_t>(ex.cli_param_u64("rumors", 10));
   const bool json_timings = ex.cli_param_u64("timings_in_json", 1) != 0;
   const std::size_t shards = ex.sim_shards();
-  const std::size_t threads = ex.sim_threads();
   const auto min_lat = sim::millis(
       static_cast<std::int64_t>(ex.cli_param_u64("min_lat_ms", 20)));
 
@@ -658,21 +434,12 @@ int main(int argc, char** argv) {
   }
 
   ex.run_points(sizes.size() * 2, [&](sim::PointScope& scope) {
-    const std::size_t n = sizes[scope.index() / 2];
+    const PointConfig pc{sizes[scope.index() / 2], shards, ex.sim_threads(),
+                         min_lat, json_timings};
     if (scope.index() % 2 == 0) {
-      if (shards > 1) {
-        run_kademlia_point_sharded(n, lookups, json_timings, shards, threads,
-                                   min_lat, scope);
-      } else {
-        run_kademlia_point(n, lookups, json_timings, scope);
-      }
+      run_kademlia_point(pc, lookups, scope);
     } else {
-      if (shards > 1) {
-        run_gossip_point_sharded(n, rumors, json_timings, shards, threads,
-                                 min_lat, scope);
-      } else {
-        run_gossip_point(n, rumors, json_timings, scope);
-      }
+      run_gossip_point(pc, rumors, scope);
     }
   });
 

@@ -20,12 +20,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "net/latency.hpp"
-#include "net/network.hpp"
 #include "net/topology.hpp"
 #include "net/transport.hpp"
 #include "sim/metrics.hpp"
-#include "sim/sharding.hpp"
 #include "sim/telemetry.hpp"
 
 using namespace decentnet;
@@ -206,15 +203,24 @@ Row summarize(std::vector<sim::SimTime>& cover_times, sim::SimTime t0,
   return row;
 }
 
+/// One sweep point on a ShardedKernel of --sim-shards S (S == 1 is the plain
+/// kernel bit-for-bit). All transport state is sender-side and single-writer
+/// per shard and first-receipt times land in per-shard buffers merged in
+/// shard order, so the artifact is byte-identical at any --sim-threads.
 Row run(const Params& p, sim::ExperimentHarness& ex) {
-  sim::Simulator simu(p.seed);
-  ex.instrument(simu);
-  net::Network netw(
-      simu, std::make_unique<net::LogNormalLatency>(sim::millis(50), 0.4),
+  const std::size_t shards = ex.sim_shards();
+  // Sharded, the 10 ms latency floor is the lookahead window; one shard
+  // keeps the 1 ms default.
+  bench::ScaleNet world(
+      p.seed, shards, p.n,
+      std::make_unique<net::LogNormalLatency>(
+          sim::millis(50), 0.4, shards > 1 ? sim::millis(10) : sim::millis(1)),
       net::NetworkConfig{.transport = make_transport(p),
                          .expected_nodes = p.n,
                          .track_spans = true},
-      &ex.metrics());
+      ex);
+  net::Network& netw = world.netw;
+  const std::vector<net::NodeId>& addrs = world.addrs;
   const std::uint64_t drops_before =
       ex.metrics().counter("net/queue_dropped").value();
 
@@ -224,10 +230,9 @@ Row run(const Params& p, sim::ExperimentHarness& ex) {
                         .nodes = p.n,
                         .degree = p.degree}
           .build(rng);
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < p.n; ++i) addrs.push_back(netw.new_node_id());
+  // First-receipt times per receiving shard — single writer each.
+  std::vector<std::vector<sim::SimTime>> times(shards);
   std::vector<std::unique_ptr<RelayNode>> nodes;
-  std::vector<sim::SimTime> cover_times;
   // Blocks originate at miners, which were well-provisioned: pick the first
   // fiber-tier node as origin rather than an arbitrary (possibly straggler)
   // one — a slow-tier origin serializes its first upload for ~18 s and
@@ -238,86 +243,19 @@ Row run(const Params& p, sim::ExperimentHarness& ex) {
     if (origin == 0 && &tier == &kFiber) origin = i;
     netw.set_link(addrs[i],
                   net::LinkSpec{tier.up_bps, tier.down_bps, p.queue_bytes});
-    nodes.push_back(std::make_unique<RelayNode>(netw, simu, addrs[i]));
+    nodes.push_back(
+        std::make_unique<RelayNode>(netw, world.sim_for(i), addrs[i]));
     for (const auto j : adj[i]) nodes.back()->neighbors.push_back(addrs[j]);
-    nodes.back()->on_first = [&cover_times, &simu](sim::SimTime) {
-      cover_times.push_back(simu.now());
-    };
-  }
-  // --telemetry: network rates/transport gauges plus protocol health (how
-  // many nodes hold the block, the origin's congestion window). Registered
-  // after instrument() because attaching resets the series registry.
-  if (sim::Telemetry* const tel = ex.telemetry()) {
-    netw.register_telemetry(*tel);
-    const std::vector<sim::SimTime>* const cov = &cover_times;
-    tel->add_gauge("e22/covered", 0, [cov](sim::SimTime) {
-      return static_cast<double>(cov->size());
-    });
-    const net::Transport* const tx = &netw.transport();
-    const std::uint32_t oidx = netw.node_index(addrs[origin]);
-    tel->add_gauge("e22/origin_cwnd_bytes", 0, [tx, oidx](sim::SimTime) {
-      return tx->cwnd_bytes(oidx);
-    });
-  }
-  const sim::SimTime t0 = sim::millis(1);
-  simu.post(t0, [&, origin] { nodes[origin]->originate(p.block_bytes); });
-  simu.run_until(t0 + sim::seconds(240));
-
-  Row row = summarize(cover_times, t0, p.n);
-  row.dropped =
-      ex.metrics().counter("net/queue_dropped").value() - drops_before;
-  row.events = simu.total_events_processed();
-  return row;
-}
-
-/// Sharded counterpart (--sim-shards S): the same relay on a ShardedKernel.
-/// All transport state is sender-side and single-writer per shard, so the
-/// artifact is byte-identical at any --sim-threads. The 10 ms latency floor
-/// is the kernel's lookahead window.
-Row run_sharded(const Params& p, std::size_t shards, std::size_t threads,
-                sim::ExperimentHarness& ex) {
-  sim::ShardedKernel kernel(p.seed, shards);
-  ex.instrument(kernel);
-  net::Network netw(
-      kernel.shard(0),
-      std::make_unique<net::LogNormalLatency>(sim::millis(50), 0.4,
-                                              sim::millis(10)),
-      net::NetworkConfig{.transport = make_transport(p),
-                         .expected_nodes = p.n,
-                         .track_spans = true},
-      &ex.metrics());
-  netw.enable_sharding(kernel);
-
-  sim::Rng rng(p.seed ^ 0x7157);
-  const net::AdjacencyList adj =
-      net::TopologySpec{.kind = net::TopologySpec::Kind::Random,
-                        .nodes = p.n,
-                        .degree = p.degree}
-          .build(rng);
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < p.n; ++i) addrs.push_back(netw.new_node_id());
-  for (std::size_t i = 0; i < p.n; ++i) netw.register_node(addrs[i]);
-  // First-receipt times per receiving shard — single writer each.
-  std::vector<std::vector<sim::SimTime>> times(shards);
-  std::vector<std::unique_ptr<RelayNode>> nodes;
-  std::size_t origin = 0;  // first fiber-tier node, as in run()
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const Tier& tier = p.uniform_tier ? *p.uniform_tier : pick_tier(rng);
-    if (origin == 0 && &tier == &kFiber) origin = i;
-    netw.set_link(addrs[i],
-                  net::LinkSpec{tier.up_bps, tier.down_bps, p.queue_bytes});
-    sim::Simulator* nsim = &netw.simulator_for(addrs[i]);
-    nodes.push_back(std::make_unique<RelayNode>(netw, *nsim, addrs[i]));
-    for (const auto j : adj[i]) nodes.back()->neighbors.push_back(addrs[j]);
-    const std::size_t sh = kernel.shard_of(addrs[i].value);
+    const std::size_t sh = world.shard_of(i);
     nodes.back()->on_first = [&times, sh](sim::SimTime at) {
       times[sh].push_back(at);
     };
   }
-  // Same health series as run(), but coverage is per receiving shard (the
-  // vectors are single-writer and the driver samples at barriers).
+  // --telemetry: protocol health next to the net/* series — how many nodes
+  // hold the block (per receiving shard: the vectors are single-writer and
+  // a sharded kernel samples at barriers) and the origin's congestion
+  // window.
   if (sim::Telemetry* const tel = ex.telemetry()) {
-    netw.register_telemetry(*tel);
     for (std::size_t sh = 0; sh < shards; ++sh) {
       const std::vector<sim::SimTime>* const cov = &times[sh];
       tel->add_gauge("e22/covered", static_cast<std::uint32_t>(sh),
@@ -332,21 +270,20 @@ Row run_sharded(const Params& p, std::size_t shards, std::size_t threads,
     });
   }
   const sim::SimTime t0 = sim::millis(1);
-  netw.simulator_for(addrs[origin])
-      .post(t0, [&, origin] { nodes[origin]->originate(p.block_bytes); });
-  const std::uint64_t drops_before =
-      ex.metrics().counter("net/queue_dropped").value();
-  kernel.run_until(t0 + sim::seconds(240), threads);
-  kernel.merge_metrics_into(ex.metrics());
+  world.sim_for(origin).post(
+      t0, [&, origin] { nodes[origin]->originate(p.block_bytes); });
+  world.kernel.run_until(t0 + sim::seconds(240), ex.sim_threads());
+  world.kernel.merge_metrics_into(ex.metrics());
 
   std::vector<sim::SimTime> cover_times;
-  for (std::size_t sh = 0; sh < shards; ++sh) {
-    cover_times.insert(cover_times.end(), times[sh].begin(), times[sh].end());
+  for (const std::vector<sim::SimTime>& shard_times : times) {
+    cover_times.insert(cover_times.end(), shard_times.begin(),
+                       shard_times.end());
   }
   Row row = summarize(cover_times, t0, p.n);
   row.dropped =
       ex.metrics().counter("net/queue_dropped").value() - drops_before;
-  row.events = kernel.total_events_processed();
+  row.events = world.kernel.total_events_processed();
   return row;
 }
 
@@ -370,11 +307,7 @@ int main(int argc, char** argv) {
   // records them for tools/perf_gate.py.
   const bool json_timings = ex.cli_param_u64("timings_in_json", 1) != 0;
   const std::size_t shards = ex.sim_shards();
-  const std::size_t threads = ex.sim_threads();
   if (shards > 1) ex.set_param("sim_shards", std::uint64_t{shards});
-  auto run_one = [&](const Params& p) {
-    return shards > 1 ? run_sharded(p, shards, threads, ex) : run(p, ex);
-  };
 
   // Sweep 1: block size under the 2013 tier mix. The 230 KB row is the
   // calibration point against Decker & Wattenhofer's live measurements.
@@ -384,7 +317,7 @@ int main(int argc, char** argv) {
     Params p;
     p.block_bytes = kb * 1000;
     p.seed = ex.seed();
-    const Row r = run_one(p);
+    const Row r = run(p, ex);
     std::vector<std::pair<std::string, bench::Value>> row{
         {"sweep", "block_size"},
         {"block_kb", kb},
@@ -413,7 +346,7 @@ int main(int argc, char** argv) {
     Params p;
     p.uniform_tier = tier;
     p.seed = ex.seed() + 1;
-    const Row r = run_one(p);
+    const Row r = run(p, ex);
     std::vector<std::pair<std::string, bench::Value>> row{
         {"sweep", "link_tier"},
         {"block_kb", std::uint64_t{230}},
@@ -446,7 +379,7 @@ int main(int argc, char** argv) {
     p.mode = mc.mode;
     p.queue_bytes = mc.queue_bytes;
     p.seed = ex.seed() + 2;
-    const Row r = run_one(p);
+    const Row r = run(p, ex);
     std::vector<std::pair<std::string, bench::Value>> row{
         {"sweep", "mode"},
         {"block_kb", std::uint64_t{230}},

@@ -6,13 +6,15 @@
 // Also home to the throughput instrumentation the perf-gated benches share
 // (WallClock, peak_rss_mb, append_timing_cells) so every bench reports
 // wall-clock, events/sec and peak RSS with identical names, units and
-// rounding — tools/perf_gate.py keys on exactly these cells.
+// rounding — tools/perf_gate.py keys on exactly these cells — and to
+// ScaleNet, the one world setup of the shard-aware scale benches.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,7 +23,10 @@
 #include <sys/resource.h>
 #endif
 
+#include "net/latency.hpp"
+#include "net/network.hpp"
 #include "sim/experiment.hpp"
+#include "sim/sharding.hpp"
 
 namespace decentnet::bench {
 
@@ -75,5 +80,45 @@ inline void append_timing_cells(
   row.emplace_back("events_per_sec", cell(eps, 0));
   row.emplace_back("peak_rss_mb", cell(peak_rss_mb(), 1));
 }
+
+/// The network side of one scale point (E16, E20, E22) at any --sim-shards
+/// value: a ShardedKernel, the harness trace/profiler/telemetry on it, a
+/// Network over shard 0 routed over the kernel, `n` node ids registered up
+/// front (the peer table is find-only during parallel windows), and the
+/// net/* series. One shard needs no separate path: shard 0 keeps the root
+/// seed and run_until() bypasses every barrier, so S == 1 reproduces a plain
+/// Simulator(seed) byte for byte. The latency model's floor is the kernel's
+/// lookahead window. `Scope` is sim::ExperimentHarness or sim::PointScope.
+struct ScaleNet {
+  sim::ShardedKernel kernel;
+  net::Network netw;
+  std::vector<net::NodeId> addrs;
+
+  template <class Scope>
+  ScaleNet(std::uint64_t seed, std::size_t shards, std::size_t n,
+           std::unique_ptr<net::LatencyModel> latency,
+           net::NetworkConfig config, Scope& scope)
+      : kernel(seed, shards),
+        netw(kernel.shard(0), std::move(latency), config, &scope.metrics()),
+        addrs(n) {
+    scope.instrument(kernel);
+    netw.enable_sharding(kernel);
+    if (sim::Telemetry* const tel = scope.telemetry()) {
+      netw.register_telemetry(*tel);
+    }
+    for (std::size_t i = 0; i < n; ++i) addrs[i] = netw.new_node_id();
+    for (std::size_t i = 0; i < n; ++i) netw.register_node(addrs[i]);
+  }
+
+  bool sharded() const { return kernel.shard_count() > 1; }
+  /// Shard that owns node i: its per-shard result buffer index.
+  std::size_t shard_of(std::size_t i) const {
+    return kernel.shard_of(addrs[i].value);
+  }
+  /// The kernel shard node i's timers and events must run on.
+  sim::Simulator& sim_for(std::size_t i) {
+    return netw.simulator_for(addrs[i]);
+  }
+};
 
 }  // namespace decentnet::bench

@@ -37,7 +37,7 @@ std::optional<std::string> reject_sharding(const ScenarioCommon& common,
     return std::string(who) +
            ": sim_shards > 1 is not supported — this scenario's stack "
            "shares in-memory state across nodes and is not shard-safe. "
-           "Use the shard-aware E16/E20 benches (--sim-shards) for "
+           "Use the shard-aware E16/E20/E22 benches (--sim-shards) for "
            "parallel kernel runs.";
   }
   return std::nullopt;

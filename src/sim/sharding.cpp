@@ -288,6 +288,10 @@ ShardedKernel::ShardedKernel(std::uint64_t seed, std::size_t shards) {
   wall_ns_.resize(shards, 0);
   for (std::size_t s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Simulator>(shard_seed(seed, s)));
+    // One shard runs no windows and no mailboxes, so it registers no
+    // counters: merge_metrics_into() then adds nothing, and callers merge
+    // at any shard count.
+    if (shards == 1) continue;
     const std::string prefix = "sim/shard/" + std::to_string(s);
     stats_[s].fired = &registries_[s].counter(prefix + "/fired");
     stats_[s].windows = &registries_[s].counter(prefix + "/windows");

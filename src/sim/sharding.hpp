@@ -98,7 +98,8 @@ class ShardedKernel {
   /// Per-shard metric registry: components owned by shard s record here so
   /// the parallel phase never contends on counters. Fold into an
   /// experiment's registry afterwards with merge_metrics_into() (shard-index
-  /// order — deterministic).
+  /// order — deterministic). A 1-shard kernel's registry stays empty unless
+  /// a caller records into it, so merging it is a no-op.
   MetricRegistry& metrics(std::size_t s) { return registries_[s]; }
   void merge_metrics_into(MetricRegistry& target);
 
@@ -200,7 +201,8 @@ class ShardedKernel {
 
   /// Deterministic per-shard bookkeeping surfaced as sim/shard/<s>/*
   /// metrics: fired events, windows, stalls (windows where the shard had
-  /// nothing to do — the load-imbalance signal), mailbox traffic.
+  /// nothing to do — the load-imbalance signal), mailbox traffic. Null on a
+  /// 1-shard kernel, which has no windows or mailboxes to count.
   struct ShardStats {
     Counter* fired = nullptr;
     Counter* windows = nullptr;

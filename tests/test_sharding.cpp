@@ -127,6 +127,12 @@ TEST(Sharding, SingleShardMatchesPlainSimulator) {
     }
     kernel.run_until(ds::seconds(1));
     EXPECT_EQ(fired, 50);
+    // No windows, no mailboxes: a 1-shard kernel registers no sim/shard/*
+    // counters, so merging its metrics adds nothing to a plain run's.
+    ds::MetricRegistry merged;
+    kernel.merge_metrics_into(merged);
+    EXPECT_TRUE(merged.counters().empty());
+    EXPECT_TRUE(merged.histograms().empty());
   }
   EXPECT_EQ(plain_out.str(), sharded_out.str());
 }
