@@ -26,7 +26,8 @@
 //                      at N nodes, and N < 2 is rejected (exit 2): a gossip
 //                      view needs a peer other than its owner
 //   lookups=K          Kademlia lookups per point        (default 2000)
-//   rumors=K           gossip broadcasts per point       (default 10)
+//   rumors=K           gossip broadcasts per point       (default 10);
+//                      K = 0 for either is rejected (exit 2)
 //   timings_in_json=0  demote wall-clock/events-per-sec/peak-RSS cells to
 //                      table-only so BENCH_E20_scale.json is byte-identical
 //                      across runs and --jobs values (the determinism CI
@@ -408,6 +409,12 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(ex.cli_param_u64("lookups", 2000));
   const std::size_t rumors =
       static_cast<std::size_t>(ex.cli_param_u64("rumors", 10));
+  // With no lookups or no rumors a point's success or coverage is 0/0.
+  if (lookups == 0 || rumors == 0) {
+    std::fprintf(stderr, "--param %s: must be at least 1: 0\n",
+                 lookups == 0 ? "lookups" : "rumors");
+    return 2;
+  }
   const bool json_timings = ex.cli_param_u64("timings_in_json", 1) != 0;
   const std::size_t shards = ex.sim_shards();
   const auto min_lat = sim::millis(

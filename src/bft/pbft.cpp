@@ -45,6 +45,7 @@ PbftReplica::PbftReplica(net::Network& net, net::NodeId addr,
 PbftReplica::~PbftReplica() { net_.detach(addr_); }
 
 void PbftReplica::set_group(std::vector<net::NodeId> replicas) {
+  require_group_fits(replicas.size(), "PbftReplica::set_group");
   group_ = std::move(replicas);
 }
 
@@ -135,7 +136,7 @@ void PbftReplica::flush_batch() {
   // Process our own copy.
   SlotState& s = slot(pp.view, pp.seq);
   s.pre_prepare = pp;
-  try_prepare(pp.seq);
+  try_prepare(pp.seq, s);
   // The primary watches its own batch too: if it is cut off from its
   // backups (a partition rather than a crash), this times out and it joins
   // the view change instead of staying primary of a dead view forever.
@@ -149,8 +150,7 @@ void PbftReplica::flush_batch() {
   }
 }
 
-void PbftReplica::try_prepare(std::uint64_t seq) {
-  SlotState& s = slot(view_, seq);
+void PbftReplica::try_prepare(std::uint64_t seq, SlotState& s) {
   if (!s.pre_prepare || s.prepared) return;
   // The primary's pre-prepare counts as its prepare; others' arrive as
   // Prepare messages. 2f prepares (plus the pre-prepare) = prepared.
@@ -159,12 +159,11 @@ void PbftReplica::try_prepare(std::uint64_t seq) {
     pm::Commit c{view_, seq, s.pre_prepare->digest, index_};
     multicast(c, config_.message_bytes);
     s.commits.insert(index_);
-    try_commit(seq);
+    try_commit(seq, s);
   }
 }
 
-void PbftReplica::try_commit(std::uint64_t seq) {
-  SlotState& s = slot(view_, seq);
+void PbftReplica::try_commit(std::uint64_t seq, SlotState& s) {
   if (!s.prepared || s.committed) return;
   if (s.commits.size() >= quorum_2f1()) {
     s.committed = true;
@@ -277,7 +276,7 @@ void PbftReplica::enter_new_view(
       multicast(p, config_.message_bytes);
       s.prepares.insert(index_);
     }
-    try_prepare(adopted.seq);
+    try_prepare(adopted.seq, s);
   }
   next_seq_ = max_seq + 1;
   // Remember the installed view so peers still talking in an older one (a
@@ -388,7 +387,7 @@ void PbftReplica::handle_message(const net::Message& msg) {
     pm::Prepare p{pp.view, pp.seq, pp.digest, index_};
     multicast(p, config_.message_bytes);
     s.prepares.insert(index_);
-    try_prepare(pp.seq);
+    try_prepare(pp.seq, s);
     return;
   }
   if (msg.is<pm::Prepare>()) {
@@ -400,7 +399,7 @@ void PbftReplica::handle_message(const net::Message& msg) {
     SlotState& s = slot(p.view, p.seq);
     if (s.pre_prepare && !(s.pre_prepare->digest == p.digest)) return;
     s.prepares.insert(p.replica);
-    try_prepare(p.seq);
+    try_prepare(p.seq, s);
     return;
   }
   if (msg.is<pm::Commit>()) {
@@ -412,7 +411,7 @@ void PbftReplica::handle_message(const net::Message& msg) {
     SlotState& s = slot(c.view, c.seq);
     if (s.pre_prepare && !(s.pre_prepare->digest == c.digest)) return;
     s.commits.insert(c.replica);
-    try_commit(c.seq);
+    try_commit(c.seq, s);
     return;
   }
   if (msg.is<pm::ViewChange>()) {
@@ -424,7 +423,7 @@ void PbftReplica::handle_message(const net::Message& msg) {
       return;
     }
     auto& votes = view_change_votes_[vc.new_view];
-    if (!votes.insert(vc.replica).second) return;
+    if (!votes.insert(vc.replica)) return;
     auto& preps = view_change_preps_[vc.new_view];
     preps.insert(preps.end(), vc.prepared.begin(), vc.prepared.end());
     // Join the view change once anyone else is trying (liveness).
@@ -566,6 +565,7 @@ PbftClient::PbftClient(net::Network& net, net::NodeId addr,
 PbftClient::~PbftClient() { net_.detach(addr_); }
 
 void PbftClient::set_group(std::vector<net::NodeId> replicas) {
+  require_group_fits(replicas.size(), "PbftClient::set_group");
   group_ = std::move(replicas);
 }
 

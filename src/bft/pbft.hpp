@@ -100,7 +100,8 @@ class PbftReplica final : public net::Host {
   PbftReplica& operator=(const PbftReplica&) = delete;
 
   /// Wire the replica group together; call once on every replica with the
-  /// same ordered address list (index i must match addresses[i]).
+  /// same ordered address list (index i must match addresses[i]). Throws
+  /// std::invalid_argument past ReplicaSet::kMaxReplicas replicas.
   void set_group(std::vector<net::NodeId> replicas);
 
   std::size_t index() const { return index_; }
@@ -124,8 +125,8 @@ class PbftReplica final : public net::Host {
  private:
   struct SlotState {
     std::optional<pbft_msg::PrePrepare> pre_prepare;
-    std::set<std::size_t> prepares;  // distinct replicas
-    std::set<std::size_t> commits;
+    ReplicaSet prepares;
+    ReplicaSet commits;
     bool prepared = false;
     bool committed = false;
     bool executed = false;
@@ -139,8 +140,9 @@ class PbftReplica final : public net::Host {
   void broadcast_to_group(const net::Message&) = delete;
   template <typename M>
   void multicast(const M& m, std::size_t bytes);
-  void try_prepare(std::uint64_t seq);
-  void try_commit(std::uint64_t seq);
+  // `s` is slot(view_, seq), looked up once by the caller.
+  void try_prepare(std::uint64_t seq, SlotState& s);
+  void try_commit(std::uint64_t seq, SlotState& s);
   void execute_ready();
   bool has_pending_work() const;
   void arm_view_timer();
@@ -188,7 +190,7 @@ class PbftReplica final : public net::Host {
   // View change state.
   sim::EventHandle view_timer_;
   std::uint64_t pending_view_ = 0;
-  std::map<std::uint64_t, std::set<std::size_t>> view_change_votes_;
+  std::map<std::uint64_t, ReplicaSet> view_change_votes_;
   std::map<std::uint64_t, std::vector<pbft_msg::PrePrepare>> view_change_preps_;
   // The latest NewView this replica installed, kept so peers still talking
   // in an older view (a healed ex-primary after a partition) can be brought
@@ -203,7 +205,7 @@ class PbftReplica final : public net::Host {
   struct SyncCandidate {
     crypto::Hash256 digest;
     std::vector<Command> batch;
-    std::set<std::size_t> votes;
+    ReplicaSet votes;
   };
   std::map<std::uint64_t, std::vector<SyncCandidate>> sync_state_;
   std::uint64_t sync_requested_for_ = 0;
@@ -222,6 +224,7 @@ class PbftClient final : public net::Host {
              PbftConfig config);
   ~PbftClient() override;
 
+  /// Throws std::invalid_argument past ReplicaSet::kMaxReplicas replicas.
   void set_group(std::vector<net::NodeId> replicas);
   void set_done_hook(DoneHook hook) { done_ = std::move(hook); }
 
@@ -237,7 +240,7 @@ class PbftClient final : public net::Host {
   struct Outstanding {
     Command cmd;
     sim::SimTime started = 0;
-    std::set<std::size_t> replies;
+    ReplicaSet replies;
     sim::EventHandle retry;
   };
 

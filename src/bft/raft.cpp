@@ -1,7 +1,6 @@
 #include "bft/raft.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace decentnet::bft {
 
@@ -24,6 +23,7 @@ RaftNode::RaftNode(net::Network& net, net::NodeId addr, std::size_t index,
 RaftNode::~RaftNode() { net_.detach(addr_); }
 
 void RaftNode::set_group(std::vector<net::NodeId> replicas) {
+  require_group_fits(replicas.size(), "RaftNode::set_group");
   group_ = std::move(replicas);
   next_index_.assign(group_.size(), 1);
   match_index_.assign(group_.size(), 0);
@@ -70,7 +70,8 @@ void RaftNode::become_candidate() {
   m_elections_.add();
   ++term_;
   voted_for_ = index_;
-  vote_mask_ = std::uint64_t{1} << index_;
+  votes_ = ReplicaSet{};
+  votes_.insert(index_);
   reset_election_timer();
   rm::RequestVote rv{term_, index_, log_.size(), last_log_term()};
   for (std::size_t i = 0; i < group_.size(); ++i) {
@@ -178,7 +179,7 @@ void RaftNode::restart() {
   crashed_ = false;
   // Volatile state resets; persistent state (term, vote, log) survives.
   role_ = Role::Follower;
-  vote_mask_ = 0;
+  votes_ = ReplicaSet{};
   election_backoff_ = 0;
   commit_index_ = std::min<std::uint64_t>(commit_index_, log_.size());
   net_.attach(addr_, this);
@@ -216,11 +217,8 @@ void RaftNode::handle_message(const net::Message& msg) {
     if (role_ != Role::Candidate || vr.term != term_ || !vr.granted) return;
     // Dedup by voter: the network may duplicate a granted reply, and one
     // voter must never count as two.
-    vote_mask_ |= std::uint64_t{1} << vr.voter;
-    if (static_cast<std::size_t>(std::popcount(vote_mask_)) >
-        group_.size() / 2) {
-      become_leader();
-    }
+    votes_.insert(vr.voter);
+    if (votes_.size() > group_.size() / 2) become_leader();
     return;
   }
   if (msg.is<rm::AppendEntries>()) {

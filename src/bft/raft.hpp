@@ -79,6 +79,7 @@ class RaftNode final : public net::Host {
   RaftNode(const RaftNode&) = delete;
   RaftNode& operator=(const RaftNode&) = delete;
 
+  /// Throws std::invalid_argument past ReplicaSet::kMaxReplicas nodes.
   void set_group(std::vector<net::NodeId> replicas);
   /// Begin the follower timer (call after set_group on every node).
   void start();
@@ -154,7 +155,7 @@ class RaftNode final : public net::Host {
 
   // Candidate state. Votes are deduplicated by voter index: a duplicated
   // VoteReply must not count twice or a minority candidate wins the term.
-  std::uint64_t vote_mask_ = 0;
+  ReplicaSet votes_;
   // Split-vote backoff: each candidacy that times out without resolution
   // doubles the randomized-timeout window (capped at 8x), de-synchronizing
   // repeat candidates under partitions; any progress (a leader heard from,

@@ -98,6 +98,21 @@ std::optional<std::string> FabricScenarioConfig::validate() const {
     return "FabricScenarioConfig: orderer_nodes must be > 0 (Raft group "
            "size, or f for PBFT)";
   }
+  // Vote quorums are bft::ReplicaSet bitmasks: at most 64 replicas.
+  constexpr std::size_t kMaxGroup = bft::ReplicaSet::kMaxReplicas;
+  if (orderer == OrdererKind::Raft && orderer_nodes > kMaxGroup) {
+    return "FabricScenarioConfig: orderer_nodes must be <= " +
+           std::to_string(kMaxGroup) + " for Raft (the " +
+           std::to_string(kMaxGroup) + "-replica limit), got " +
+           std::to_string(orderer_nodes);
+  }
+  constexpr std::size_t kMaxF = (kMaxGroup - 1) / 3;
+  if (orderer == OrdererKind::Pbft && orderer_nodes > kMaxF) {
+    return "FabricScenarioConfig: orderer_nodes (f) must be <= " +
+           std::to_string(kMaxF) + " for PBFT (3f+1 within "
+           "the " + std::to_string(kMaxGroup) + "-replica limit), got " +
+           std::to_string(orderer_nodes);
+  }
   if (clients == 0) return "FabricScenarioConfig: clients must be > 0";
   if (tx_rate_per_sec <= 0) {
     return "FabricScenarioConfig: tx_rate_per_sec must be > 0";
@@ -129,6 +144,12 @@ std::optional<std::string> PartitionedScenarioConfig::validate() const {
   if (replicas == 0) {
     return "PartitionedScenarioConfig: replicas must be > 0 (each shard is "
            "a Raft group)";
+  }
+  if (replicas > bft::ReplicaSet::kMaxReplicas) {
+    return "PartitionedScenarioConfig: replicas must be <= " +
+           std::to_string(bft::ReplicaSet::kMaxReplicas) + " (the " +
+           std::to_string(bft::ReplicaSet::kMaxReplicas) +
+           "-replica limit of a Raft group), got " + std::to_string(replicas);
   }
   if (tx_rate_per_sec <= 0) {
     return "PartitionedScenarioConfig: tx_rate_per_sec must be > 0";

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bft/pbft.hpp"
@@ -180,4 +182,89 @@ TEST(Pbft, DuplicateClientRequestExecutedOnce) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(pc.executed[i].size(), 1u) << "replica " << i;
   }
+}
+
+TEST(Pbft, DuplicatedVotesCountOnce) {
+  // Every message arrives twice, and f + 1 backups are down (f = 2, n = 7).
+  // Quorums count distinct replicas, so the cluster stalls as in
+  // StallsBeyondFCrashes. A count of delivered messages would not: each
+  // live backup would see 1 + 2 * 2 = 5 >= 2f Prepares, then 7 >= 2f + 1
+  // Commits, and commit. (With f = 1 and two backups down a message count
+  // stalls too: a backup's only Prepare is its own, the primary sends none.)
+  PbftCluster pc(2);
+  pc.net.set_duplicate_probability(1.0);
+  for (std::size_t i = 4; i < 7; ++i) pc.replicas[i]->crash();
+  pc.client->submit("doomed");
+  pc.sim.run_until(ds::seconds(30));
+  EXPECT_EQ(pc.completions.size(), 0u)
+      << "duplicated votes must not make up a quorum";
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(pc.executed[i].empty()) << "replica " << i;
+  }
+}
+
+TEST(Pbft, CommitsAtTheSixtyFourReplicaLimit) {
+  PbftCluster pc(21);  // n = 64: every vote bit in use
+  pc.client->submit("wide");
+  pc.sim.run_until(ds::seconds(5));
+  EXPECT_EQ(pc.completions.size(), 1u);
+  for (std::size_t i = 0; i < pc.replicas.size(); ++i) {
+    EXPECT_EQ(pc.executed[i].size(), 1u) << "replica " << i;
+  }
+}
+
+TEST(Pbft, GroupBeyondReplicaSetLimitThrows) {
+  ds::Simulator sim{1};
+  dn::Network net{sim, std::make_unique<dn::ConstantLatency>(ds::millis(5))};
+  std::vector<dn::NodeId> addrs;
+  for (std::size_t i = 0; i <= db::ReplicaSet::kMaxReplicas; ++i) {
+    addrs.push_back(net.new_node_id());
+  }
+  db::PbftReplica replica(net, addrs[0], 0, db::PbftConfig{});
+  db::PbftClient client(net, net.new_node_id(), 1, db::PbftConfig{});
+  const auto expect_rejected = [](const auto& call) {
+    try {
+      call();
+      FAIL() << "a group of 65 replicas must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("65"), std::string::npos) << what;
+      EXPECT_NE(what.find("64-replica limit"), std::string::npos) << what;
+    }
+  };
+  expect_rejected([&] { replica.set_group(addrs); });
+  expect_rejected([&] { client.set_group(addrs); });
+  addrs.pop_back();  // exactly 64 fits
+  EXPECT_NO_THROW(replica.set_group(addrs));
+  EXPECT_NO_THROW(client.set_group(addrs));
+}
+
+TEST(ReplicaSet, InsertReportsNewReplicasOnly) {
+  db::ReplicaSet s;
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.insert(3));
+  EXPECT_FALSE(s.insert(3)) << "a repeat is not new";
+  EXPECT_TRUE(s.insert(0));
+  EXPECT_TRUE(s.insert(63));
+  EXPECT_FALSE(s.insert(63));
+  EXPECT_FALSE(s.empty());
+  EXPECT_TRUE(s.contains(0));
+  EXPECT_TRUE(s.contains(3));
+  EXPECT_TRUE(s.contains(63));
+  EXPECT_FALSE(s.contains(1));
+  EXPECT_FALSE(s.contains(62));
+}
+
+TEST(ReplicaSet, SizeCountsDistinctReplicas) {
+  db::ReplicaSet s;
+  EXPECT_EQ(s.size(), 0u);
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < db::ReplicaSet::kMaxReplicas; i += 2) {
+      s.insert(i);
+    }
+  }
+  EXPECT_EQ(s.size(), db::ReplicaSet::kMaxReplicas / 2);
+  s.insert(1);
+  s.insert(1);
+  EXPECT_EQ(s.size(), db::ReplicaSet::kMaxReplicas / 2 + 1);
 }

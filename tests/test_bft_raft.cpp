@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bft/raft.hpp"
@@ -217,4 +219,29 @@ TEST(Raft, ClientProposeViaMessage) {
   rc.net.send(caddr, leader->addr(), db::raft_msg::ClientPropose{c}, 64);
   rc.sim.run_until(rc.sim.now() + ds::seconds(2));
   EXPECT_TRUE(client.committed);
+}
+
+TEST(Raft, SixtyFourNodeGroupElectsOneLeader) {
+  RaftCluster rc(db::ReplicaSet::kMaxReplicas);  // every vote bit in use
+  EXPECT_EQ(rc.leader_count(), 1u);
+}
+
+TEST(Raft, GroupBeyondReplicaSetLimitThrows) {
+  ds::Simulator sim{1};
+  dn::Network net{sim, std::make_unique<dn::ConstantLatency>(ds::millis(5))};
+  std::vector<dn::NodeId> addrs;
+  for (std::size_t i = 0; i <= db::ReplicaSet::kMaxReplicas; ++i) {
+    addrs.push_back(net.new_node_id());
+  }
+  db::RaftNode node(net, addrs[0], 0, db::RaftConfig{});
+  try {
+    node.set_group(addrs);
+    FAIL() << "a group of 65 nodes must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("65"), std::string::npos) << what;
+    EXPECT_NE(what.find("64-replica limit"), std::string::npos) << what;
+  }
+  addrs.pop_back();  // exactly 64 fits
+  EXPECT_NO_THROW(node.set_group(addrs));
 }

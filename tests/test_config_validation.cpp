@@ -92,6 +92,48 @@ TEST(ConfigValidation, FabricRejectsBadShapes) {
   EXPECT_TRUE(cfg.validate().has_value());
 }
 
+TEST(ConfigValidation, GroupsBeyondReplicaLimitAreRejected) {
+  // Raft: orderer_nodes is the group size, at most 64.
+  dc::FabricScenarioConfig cfg;
+  cfg.orderer = dc::OrdererKind::Raft;
+  cfg.orderer_nodes = 64;
+  EXPECT_FALSE(cfg.validate().has_value());
+  cfg.orderer_nodes = 65;
+  auto err = cfg.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("orderer_nodes"), std::string::npos) << *err;
+  EXPECT_NE(err->find("64-replica limit"), std::string::npos) << *err;
+  EXPECT_NE(err->find("65"), std::string::npos) << *err;
+
+  // PBFT: orderer_nodes is f, and 3f+1 replicas must fit in 64.
+  cfg = dc::FabricScenarioConfig{};
+  cfg.orderer = dc::OrdererKind::Pbft;
+  cfg.orderer_nodes = 21;
+  EXPECT_FALSE(cfg.validate().has_value());
+  cfg.orderer_nodes = 22;
+  err = cfg.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("orderer_nodes"), std::string::npos) << *err;
+  EXPECT_NE(err->find("64-replica limit"), std::string::npos) << *err;
+  EXPECT_NE(err->find("22"), std::string::npos) << *err;
+
+  // Solo has no group.
+  cfg = dc::FabricScenarioConfig{};
+  cfg.orderer = dc::OrdererKind::Solo;
+  cfg.orderer_nodes = 100;
+  EXPECT_FALSE(cfg.validate().has_value());
+
+  // Each partition of the cloud baseline is a Raft group.
+  dc::PartitionedScenarioConfig part;
+  part.replicas = 64;
+  EXPECT_FALSE(part.validate().has_value());
+  part.replicas = 65;
+  err = part.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("replicas"), std::string::npos) << *err;
+  EXPECT_NE(err->find("64-replica limit"), std::string::npos) << *err;
+}
+
 TEST(ConfigValidation, NetworkRejectsBadProbabilityAndCapacity) {
   dn::NetworkConfig cfg;
   cfg.drop_probability = 1.5;

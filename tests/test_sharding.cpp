@@ -4,6 +4,7 @@
 // clear()'s slot+generation teardown of outstanding cross-shard handles.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -275,7 +276,8 @@ TEST(Sharding, ClearInvalidatesOutstandingCrossShardHandles) {
   // Slot-reuse staleness: new events recycle the cleared slots; the stale
   // pre-clear handles must read invalid and their cancel() must be a no-op
   // on the new occupants.
-  int refired = 0;
+  // Shards 0 and 2 fire in the same window on different threads.
+  std::atomic<int> refired = 0;
   auto n0 = kernel.shard(0).schedule(ds::millis(5), [&] { ++refired; });
   auto n2 = kernel.shard(2).schedule(ds::millis(5), [&] { ++refired; });
   EXPECT_FALSE(h0.valid());
@@ -285,7 +287,7 @@ TEST(Sharding, ClearInvalidatesOutstandingCrossShardHandles) {
   EXPECT_TRUE(n0.valid());
   EXPECT_TRUE(n2.valid());
   kernel.run_until(ds::seconds(2), 3);
-  EXPECT_EQ(refired, 2);
+  EXPECT_EQ(refired.load(), 2);
 }
 
 TEST(Sharding, PerShardStatsAreDeterministic) {
