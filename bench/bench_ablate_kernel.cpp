@@ -332,7 +332,7 @@ int main(int argc, char** argv) {
     auto [reps, secs] =
         measure([&] { return run_fill_drain_msg<sim::Simulator>(n); }, items);
     double rate = static_cast<double>(items) / secs;
-    std::printf("slab   post-msg48 n=%-8zu: %10.0f events/s\n", n, rate);
+    ex.print("slab   post-msg48 n=%-8zu: %10.0f events/s\n", n, rate);
     ex.add_row({{"micro", "sim_post_msg48"},
                 {"kernel", "slab"},
                 {"arg", std::uint64_t{n}},
@@ -343,7 +343,7 @@ int main(int argc, char** argv) {
         [&] { return run_fill_drain_msg<legacy::Simulator>(n); },
         legacy_items);
     rate = static_cast<double>(legacy_items) / legacy_secs;
-    std::printf("legacy post-msg48 n=%-8zu: %10.0f events/s\n", n, rate);
+    ex.print("legacy post-msg48 n=%-8zu: %10.0f events/s\n", n, rate);
     ex.add_row({{"micro", "sim_post_msg48"},
                 {"kernel", "legacy"},
                 {"arg", std::uint64_t{n}},
@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
     auto [reps, secs] = measure(
         [&] { return run_fill_drain_telemetry(n, nullptr); }, items);
     double rate = static_cast<double>(items) / secs;
-    std::printf("slab   telem-off n=%-8zu: %10.0f events/s\n", n, rate);
+    ex.print("slab   telem-off n=%-8zu: %10.0f events/s\n", n, rate);
     ex.add_row({{"micro", "sim_telemetry"},
                 {"kernel", "off"},
                 {"arg", std::uint64_t{n}},
@@ -378,7 +378,7 @@ int main(int argc, char** argv) {
       auto [reps_on, secs_on] = measure(
           [&] { return run_fill_drain_telemetry(n, &tel); }, items_on);
       rate = static_cast<double>(items_on) / secs_on;
-      std::printf("slab   telem-on  n=%-8zu: %10.0f events/s\n", n, rate);
+      ex.print("slab   telem-on  n=%-8zu: %10.0f events/s\n", n, rate);
       ex.add_row({{"micro", "sim_telemetry"},
                   {"kernel", "on"},
                   {"arg", std::uint64_t{n}},
@@ -395,8 +395,8 @@ int main(int argc, char** argv) {
       auto [reps, secs] = measure(
           [&] { return run_fill_drain<sim::Simulator>(n, detached); }, items);
       double rate = static_cast<double>(items) / secs;
-      std::printf("slab   %-9s n=%-8zu : %10.0f events/s\n",
-                  detached ? "post" : "schedule", n, rate);
+      ex.print("slab   %-9s n=%-8zu : %10.0f events/s\n",
+               detached ? "post" : "schedule", n, rate);
       ex.add_row({{"micro", detached ? "sim_post_detached" : "sim_schedule"},
                   {"kernel", "slab"},
                   {"arg", std::uint64_t{n}},
@@ -408,8 +408,8 @@ int main(int argc, char** argv) {
           [&] { return run_fill_drain<legacy::Simulator>(n, detached); },
           legacy_items);
       rate = static_cast<double>(legacy_items) / legacy_secs;
-      std::printf("legacy %-9s n=%-8zu : %10.0f events/s\n",
-                  detached ? "post" : "schedule", n, rate);
+      ex.print("legacy %-9s n=%-8zu : %10.0f events/s\n",
+               detached ? "post" : "schedule", n, rate);
       ex.add_row({{"micro", detached ? "sim_post_detached" : "sim_schedule"},
                   {"kernel", "legacy"},
                   {"arg", std::uint64_t{n}},
@@ -424,8 +424,8 @@ int main(int argc, char** argv) {
     std::uint64_t items = 0;
     auto [reps, secs] =
         measure([&] { return run_steady_state(depth, rounds); }, items);
-    std::printf("slab   steady    d=%-8zu : %10.0f events/s\n", depth,
-                static_cast<double>(items) / secs);
+    ex.print("slab   steady    d=%-8zu : %10.0f events/s\n", depth,
+             static_cast<double>(items) / secs);
     ex.add_row({{"micro", "sim_steady_state"},
                 {"kernel", "slab"},
                 {"arg", std::uint64_t{depth}},
@@ -435,8 +435,8 @@ int main(int argc, char** argv) {
     std::uint64_t legacy_items = 0;
     auto [legacy_reps, legacy_secs] = measure(
         [&] { return run_legacy_steady_state(depth, rounds); }, legacy_items);
-    std::printf("legacy steady    d=%-8zu : %10.0f events/s\n", depth,
-                static_cast<double>(legacy_items) / legacy_secs);
+    ex.print("legacy steady    d=%-8zu : %10.0f events/s\n", depth,
+             static_cast<double>(legacy_items) / legacy_secs);
     ex.add_row(
         {{"micro", "sim_steady_state"},
          {"kernel", "legacy"},
@@ -452,8 +452,8 @@ int main(int argc, char** argv) {
     std::uint64_t items = 0;
     auto [reps, secs] =
         measure([&] { return run_cancel_mix_slab(n); }, items);
-    std::printf("slab   cancelmix n=%-8zu : %10.0f events/s\n", n,
-                static_cast<double>(items) / secs);
+    ex.print("slab   cancelmix n=%-8zu : %10.0f events/s\n", n,
+             static_cast<double>(items) / secs);
     ex.add_row({{"micro", "sim_cancel_mix"},
                 {"kernel", "slab"},
                 {"arg", std::uint64_t{n}},
@@ -463,8 +463,8 @@ int main(int argc, char** argv) {
     std::uint64_t legacy_items = 0;
     auto [legacy_reps, legacy_secs] =
         measure([&] { return run_cancel_mix_legacy(n); }, legacy_items);
-    std::printf("legacy cancelmix n=%-8zu : %10.0f events/s\n", n,
-                static_cast<double>(legacy_items) / legacy_secs);
+    ex.print("legacy cancelmix n=%-8zu : %10.0f events/s\n", n,
+             static_cast<double>(legacy_items) / legacy_secs);
     ex.add_row(
         {{"micro", "sim_cancel_mix"},
          {"kernel", "legacy"},
@@ -495,7 +495,7 @@ int main(int argc, char** argv) {
           items_p);
       const double rate_ts = static_cast<double>(items_p) / secs_p;
       const std::uint64_t events_ts = items_p / reps_p;
-      std::printf(
+      ex.print(
           "shard  steady    S=%zu d=%-8zu: %10.0f events/s (1 thr) "
           "%10.0f events/s (%zu thr)\n",
           shards, depth, rate_t1, rate_ts, shards);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                 {"submitted_txs", std::uint64_t{r.submitted_txs}}});
   }
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nWith consumer-grade uplinks, flooding a 100 KB body to every\n"
       "neighbor serializes for hundreds of milliseconds per hop and the\n"
       "stale rate shows it; the compact announcement is ~2%% of the bytes\n"

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     }
   }
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nAt 600 s the stale rate is negligible at either latency; at 2-5 s\n"
       "intervals the chain wastes a sizable fraction of its work on forks —\n"
       "and doubling latency roughly doubles the damage. This is why 'just\n"

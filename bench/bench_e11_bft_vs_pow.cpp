@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     }
   });
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nPBFT latency stays at a few RTTs but msgs/commit grows with n^2 —\n"
       "the structural reason permissioned consensus runs among consortium\n"
       "members, not the open Internet. Raft (CFT) is cheaper still when\n"

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   run_layout(2, 4, 3, "two consortium channels");
   run_layout(4, 2, 2, "four bilateral channels");
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nAll layouts keep up with the offered load, but the cost structure\n"
       "differs: in the global channel every org validates all 640 tps and\n"
       "each tx needs 5 endorsements; four bilateral channels cut per-org\n"

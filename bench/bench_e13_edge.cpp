@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                 {"usage_records", r.usage_records}});
   }
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nEdge-first turns a transcontinental round trip into an in-region\n"
       "hop for ~90%% of requests, and the federation's cross-domain usage is\n"
       "accounted on the permissioned channel instead of a trusted broker —\n"

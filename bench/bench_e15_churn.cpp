@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
                     bench::Value(out.timeouts_per_lookup, 1)}});
   });
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nThe stable row answers nearly everything within a couple of RTT\n"
       "rounds; as sessions shrink toward file-sharing-like lifetimes the\n"
       "timeout tax mounts and success erodes — Problem 2's 'no rival to\n"

@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
     ex.add_row(std::move(row));
   }
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nHop counts grow logarithmically with n while coverage holds — the\n"
       "scalable-dissemination result that cloud systems (Dynamo, Cassandra)\n"
       "and every blockchain mesh inherited from P2P research.\n");

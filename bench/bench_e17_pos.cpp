@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
                 {"net_cost_usd_M", bench::Value(c.net_cost_usd / 1e6, 1)}});
   }
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nWith universal participation, compounding rewards are a fair\n"
       "lottery (Gini barely moves); realistic participation gates reproduce\n"
       "the concentration of E7 without burning a single joule. And on the\n"

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   }
   const int rc = ex.finish();
 
-  std::printf(
+  ex.print(
       "\nOn-chain equivalence: 20k payments would need ~%.0f Bitcoin blocks\n"
       "(~%.0f hours of global consensus); off-chain they are instant local\n"
       "state updates. The price appears in the right-hand columns: in the\n"

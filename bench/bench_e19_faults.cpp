@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     r.run(r, scope);
   });
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nEvery family heals, but on its own clock: PoW waits for the next\n"
       "block to trigger the reorg, Raft for an election round plus log\n"
       "back-fill, PBFT for the ex-primary to be pulled into the current\n"

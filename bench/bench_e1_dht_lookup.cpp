@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
                    {"timeouts_per_lookup", bench::Value(r.timeouts, 1)}});
   });
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nThe Kad-like row reproduces '90%% within 5 s'; the BT-like rows\n"
       "(tables polluted by send-only NATed peers, serial lookups, patient\n"
       "timeouts) drive the median toward the minute the paper quotes. The\n"

@@ -450,7 +450,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  std::printf(
+  ex.print(
       "\nScale path: one Shared<T> allocation per rumor/request regardless "
       "of fan-out;\nSoA peer arrays + dense node indices + sparse routing "
       "tables keep the 1M point\nunder 4 GB (use --stream-trace for traced "

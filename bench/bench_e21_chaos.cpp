@@ -414,11 +414,11 @@ int main(int argc, char** argv) {
     const int rc = ex.finish();
     if (rc != 0) return rc;
     if (!out.ok) {
-      std::printf("\nreproduced: %s\n", out.violation.c_str());
+      ex.print("\nreproduced: %s\n", out.violation.c_str());
       return 0;
     }
-    std::printf("\nNOT reproduced (recorded violation was: %s)\n",
-                repro.violation.c_str());
+    ex.print("\nNOT reproduced (recorded violation was: %s)\n",
+             repro.violation.c_str());
     return 3;
   }
 
@@ -503,7 +503,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(total_violations.load()));
     return 1;
   }
-  std::printf(
+  ex.print(
       "\nComposed random adversity costs liveness windows, never safety:\n"
       "every sampled plan heals and every family recovers within its bound\n"
       "— the DHT even with churn running throughout. Any future violation\n"

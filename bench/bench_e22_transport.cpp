@@ -394,7 +394,7 @@ int main(int argc, char** argv) {
   }
 
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nWith real link capacities a 230 KB block takes seconds to cross the\n"
       "mesh (%s Decker & Wattenhofer's 2013 measurements within 20%%); a\n"
       "latency-only model delivers it in under a second. Propagation delay\n"

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
           contrib > 0 ? bench::Value(rider / contrib, 2) : bench::Value()}});
   }
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nGnutella search quality collapses with the sharing base; under\n"
       "tit-for-tat riders pay a completion-time penalty that vanishes with\n"
       "random unchoking. Neither mechanism pays anyone to keep a DHT or\n"

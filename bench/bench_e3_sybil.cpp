@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
                 {"captured_rpcs", r.captured_rpcs}});
   }
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nA few dozen identities per key — trivially cheap, since identities\n"
       "are free — suffice to swallow most new publications in the region.\n"
       "This is the paper's Problem 3, and the defense (admission-controlled\n"

@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     }
   }
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nOne-hop answers in a single RTT where Chord pays ~log2(n) RTTs; the\n"
       "price is membership gossip that grows with churn x n. For a stable\n"
       "corporate/cloud population that trade is obviously right — which is\n"

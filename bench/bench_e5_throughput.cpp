@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     }
   });
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nThe PoW rows are capped near block_bytes/(tx_bytes*interval) no\n"
       "matter the offered load; the partitioned rows track offered load —\n"
       "add shards, get throughput. That is the paper's VISA contrast.\n");

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
          {"active_miners", std::uint64_t{active}}});
   }
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nReading: with no scale advantage the initial skew persists but the\n"
       "network stays wide; each increment of scale advantage collapses the\n"
       "Nakamoto coefficient toward single digits and pushes the top-6 share\n"

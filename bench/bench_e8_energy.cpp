@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   }
   const int rc = ex.finish();
 
-  std::printf(
+  ex.print(
       "\nThroughput never moves (still ~%.0f tx/day) while energy scales\n"
       "with price: at the Dec-2017 peak the model lands in the tens-of-TWh\n"
       "band the Economist reported. A partitioned cloud backend serving\n"

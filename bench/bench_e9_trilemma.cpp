@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
                 {"security_capture_fraction", bench::Value(p.security, 4)}});
   }
   const int rc = ex.finish();
-  std::printf(
+  ex.print(
       "\nInvariant: scalability x security = 0.5 across the whole sweep —\n"
       "every shard of extra throughput divides the resources an attacker\n"
       "must corrupt to seize one shard. The full-broadcast design (1 shard)\n"

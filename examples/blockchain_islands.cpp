@@ -94,63 +94,63 @@ int main(int argc, char** argv) {
   Island trade(netw, msp, "trade-island",
                {"port-authority", "shipping-line", "notary"}, 8000);
 
-  std::printf("island A: %s (steelworks, machinery, notary)\n",
-              manufacturing.name.c_str());
-  std::printf("island B: %s (port-authority, shipping-line, notary)\n\n",
-              trade.name.c_str());
+  ex.print("island A: %s (steelworks, machinery, notary)\n",
+           manufacturing.name.c_str());
+  ex.print("island B: %s (port-authority, shipping-line, notary)\n\n",
+           trade.name.c_str());
 
   // 1. The asset exists on the manufacturing island.
   bool ok = manufacturing.invoke(simu,
                                  {"create", "turbine-88", "steelworks", "250000"});
-  std::printf("1. turbine-88 registered on %s: %s\n",
-              manufacturing.name.c_str(), ok ? "ok" : "FAILED");
+  ex.print("1. turbine-88 registered on %s: %s\n",
+           manufacturing.name.c_str(), ok ? "ok" : "FAILED");
   ex.add_row({{"step", "register_on_island_a"}, {"ok", ok}});
 
   // 2. Cross-island transfer: lock on A (custody to the notary)...
   ok = manufacturing.invoke(simu, {"transfer", "turbine-88", "notary:locked"});
-  std::printf("2. locked in notary custody on island A: %s\n",
-              ok ? "ok" : "FAILED");
+  ex.print("2. locked in notary custody on island A: %s\n",
+           ok ? "ok" : "FAILED");
   ex.add_row({{"step", "lock_on_island_a"}, {"ok", ok}});
 
   // 3. ...mint the mirrored asset on B, owned by the receiving org.
   ok = trade.invoke(simu, {"create", "turbine-88", "shipping-line", "250000"});
-  std::printf("3. mirrored onto island B for shipping-line: %s\n",
-              ok ? "ok" : "FAILED");
+  ex.print("3. mirrored onto island B for shipping-line: %s\n",
+           ok ? "ok" : "FAILED");
   ex.add_row({{"step", "mint_on_island_b"}, {"ok", ok}});
 
   // 4. Both islands can audit their half of the handshake.
   std::string a_view, b_view;
   manufacturing.invoke(simu, {"read", "turbine-88"}, &a_view);
   trade.invoke(simu, {"read", "turbine-88"}, &b_view);
-  std::printf("4. island A sees: %s | island B sees: %s\n", a_view.c_str(),
-              b_view.c_str());
+  ex.print("4. island A sees: %s | island B sees: %s\n", a_view.c_str(),
+           b_view.c_str());
 
   // 5. A double-mint on B must fail: the asset id is already taken there.
   ok = trade.invoke(simu, {"create", "turbine-88", "smuggler", "1"});
-  std::printf("5. double-mint attempt on island B rejected: %s\n",
-              !ok ? "yes" : "NO (bug!)");
+  ex.print("5. double-mint attempt on island B rejected: %s\n",
+           !ok ? "yes" : "NO (bug!)");
   ex.add_row({{"step", "double_mint_rejected"}, {"ok", !ok}});
 
   // 6. Return leg: burn on B (custody back to notary), release on A.
   ok = trade.invoke(simu, {"transfer", "turbine-88", "notary:burned"});
-  std::printf("6. burned into notary custody on island B: %s\n",
-              ok ? "ok" : "FAILED");
+  ex.print("6. burned into notary custody on island B: %s\n",
+           ok ? "ok" : "FAILED");
   ex.add_row({{"step", "burn_on_island_b"}, {"ok", ok}});
   ok = manufacturing.invoke(simu, {"transfer", "turbine-88", "machinery"});
-  std::printf("7. released to machinery on island A: %s\n",
-              ok ? "ok" : "FAILED");
+  ex.print("7. released to machinery on island A: %s\n",
+           ok ? "ok" : "FAILED");
   ex.add_row({{"step", "release_on_island_a"}, {"ok", ok}});
 
-  std::printf("\nledger summary:\n");
+  ex.print("\nledger summary:\n");
   for (Island* island : {&manufacturing, &trade}) {
-    std::printf("  %-21s peers committed: ", island->name.c_str());
+    ex.print("  %-21s peers committed: ", island->name.c_str());
     for (auto& p : island->peers) {
-      std::printf("%llu ",
-                  static_cast<unsigned long long>(p->stats().txs_committed));
+      ex.print("%llu ",
+               static_cast<unsigned long long>(p->stats().txs_committed));
     }
-    std::printf("\n");
+    ex.print("\n");
   }
-  std::printf(
+  ex.print(
       "\nNo global blockchain was needed: each island kept consensus among\n"
       "its own members, and the bridge is just a member with accounts on\n"
       "both — the amalgam-of-islands architecture §V proposes, with the\n"

@@ -82,29 +82,29 @@ int main(int argc, char** argv) {
       alice.pay(nodes[4]->utxo(), bob.address(), 30'000, 50);
   nodes[4]->submit_transaction(*pay_bob);
   simu.run_until(simu.now() + sim::minutes(30));
-  std::printf("after 35 min: height=%llu, bob=%lld\n",
-              static_cast<unsigned long long>(nodes[9]->tree().best_height()),
-              static_cast<long long>(nodes[9]->utxo().balance_of(bob.address())));
+  ex.print("after 35 min: height=%llu, bob=%lld\n",
+           static_cast<unsigned long long>(nodes[9]->tree().best_height()),
+           static_cast<long long>(nodes[9]->utxo().balance_of(bob.address())));
 
   // --- SPV proof --------------------------------------------------------------
   bool spv_ok = false;
   phone.verify_inclusion(pay_bob->id(), [&](bool ok) {
     spv_ok = ok;
-    std::printf("SPV client verified alice->bob inclusion proof: %s\n",
-                ok ? "valid" : "INVALID");
+    ex.print("SPV client verified alice->bob inclusion proof: %s\n",
+             ok ? "valid" : "INVALID");
   });
   simu.run_until(simu.now() + sim::minutes(1));
 
   // --- Difficulty retarget ----------------------------------------------------
   simu.run_until(simu.now() + sim::hours(2));
   const auto tip = nodes[9]->tree().best_tip();
-  std::printf("difficulty after retargets: %.2fx initial (miners were 2x "
-              "over-provisioned)\n",
-              nodes[9]->tree().entry(tip).block->header.difficulty /
-                  params.initial_difficulty);
+  ex.print("difficulty after retargets: %.2fx initial (miners were 2x "
+           "over-provisioned)\n",
+           nodes[9]->tree().entry(tip).block->header.difficulty /
+               params.initial_difficulty);
 
   // --- Zero-confirmation double spend ------------------------------------------
-  std::printf("\nzero-confirmation double-spend attempt:\n");
+  ex.print("\nzero-confirmation double-spend attempt:\n");
   const auto honest_tx =
       alice.pay(nodes[4]->utxo(), merchant.address(), 20'000, 10);
   chain::Transaction evil_tx;
@@ -117,19 +117,19 @@ int main(int argc, char** argv) {
   nodes[4]->submit_transaction(*honest_tx);
   nodes[11]->submit_transaction(evil_tx);
   simu.run_until(simu.now() + sim::seconds(5));
-  std::printf("  merchant's mempool sees the payment: %s -> ships goods?\n",
-              nodes[4]->mempool().contains(honest_tx->id()) ? "yes" : "no");
+  ex.print("  merchant's mempool sees the payment: %s -> ships goods?\n",
+           nodes[4]->mempool().contains(honest_tx->id()) ? "yes" : "no");
   simu.run_until(simu.now() + sim::minutes(40));
   const auto merchant_balance =
       nodes[4]->utxo().balance_of(merchant.address());
-  std::printf("  after confirmation: merchant balance=%lld (%s)\n",
-              static_cast<long long>(merchant_balance),
-              merchant_balance > 0 ? "attack failed this time"
-                                   : "the mempool lied — paper's point about "
-                                     "waiting for confirmations");
+  ex.print("  after confirmation: merchant balance=%lld (%s)\n",
+           static_cast<long long>(merchant_balance),
+           merchant_balance > 0 ? "attack failed this time"
+                                : "the mempool lied — paper's point about "
+                                  "waiting for confirmations");
 
   // --- Fork + reorg -------------------------------------------------------------
-  std::printf("\npartitioning the mesh for 45 minutes...\n");
+  ex.print("\npartitioning the mesh for 45 minutes...\n");
   std::unordered_set<std::uint64_t> side;
   for (int i = 0; i < 7; ++i) side.insert(addrs[static_cast<std::size_t>(i)].value);
   netw.set_partition(side);
@@ -145,20 +145,20 @@ int main(int argc, char** argv) {
     reorgs += n->stats().reorgs;
     max_depth = std::max(max_depth, n->stats().reorg_depth_max);
   }
-  std::printf("  chains diverged: %s; after healing: reorgs=%llu, deepest "
-              "reorg=%llu blocks\n",
-              diverged ? "yes" : "no",
-              static_cast<unsigned long long>(reorgs),
-              static_cast<unsigned long long>(max_depth));
-  std::printf("  final tips agree: %s\n",
-              nodes[0]->tree().best_tip() == nodes[13]->tree().best_tip()
-                  ? "yes"
-                  : "no");
+  ex.print("  chains diverged: %s; after healing: reorgs=%llu, deepest "
+           "reorg=%llu blocks\n",
+           diverged ? "yes" : "no",
+           static_cast<unsigned long long>(reorgs),
+           static_cast<unsigned long long>(max_depth));
+  ex.print("  final tips agree: %s\n",
+           nodes[0]->tree().best_tip() == nodes[13]->tree().best_tip()
+               ? "yes"
+               : "no");
 
-  std::printf("\nmining revenue by hash share (expected 60/30/10):\n");
+  ex.print("\nmining revenue by hash share (expected 60/30/10):\n");
   for (int m = 0; m < 3; ++m) {
-    std::printf("  miner%d: %llu blocks found\n", m,
-                static_cast<unsigned long long>(miners[static_cast<std::size_t>(m)]->blocks_found()));
+    ex.print("  miner%d: %llu blocks found\n", m,
+             static_cast<unsigned long long>(miners[static_cast<std::size_t>(m)]->blocks_found()));
   }
 
   ex.add_row({{"check", "spv_inclusion_proof"}, {"ok", spv_ok}});

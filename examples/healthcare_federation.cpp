@@ -64,39 +64,40 @@ int main(int argc, char** argv) {
                     if (!ok) ++denied;
                     if (ok != expect_ok) {
                       ++surprises;
-                      std::printf("  UNEXPECTED: ok=%d payload=%s\n", ok,
-                                  payload.c_str());
+                      ex.print("  UNEXPECTED: ok=%d payload=%s\n", ok,
+                               payload.c_str());
                     }
                   });
     simu.run_until(simu.now() + sim::seconds(5));
   };
 
-  std::printf("1. hospital-north writes records without consent -> denied\n");
+  ex.print("1. hospital-north writes records without consent -> denied\n");
   invoke({"put", "patient-17", "hospital-north", "bloodwork:ok"}, false);
 
-  std::printf("2. patient-17 grants hospital-north; records flow\n");
+  ex.print("2. patient-17 grants hospital-north; records flow\n");
   invoke({"grant", "patient-17", "hospital-north"}, true);
   invoke({"put", "patient-17", "hospital-north", "bloodwork:ok"}, true);
   invoke({"put", "patient-17", "hospital-north", "mri:clear"}, true);
 
-  std::printf("3. research-org reads without consent -> denied\n");
+  ex.print("3. research-org reads without consent -> denied\n");
   invoke({"get", "patient-17", "research-org"}, false);
 
-  std::printf("4. patient grants research-org, then revokes\n");
+  ex.print("4. patient grants research-org, then revokes\n");
   invoke({"grant", "patient-17", "research-org"}, true);
   invoke({"put", "patient-17", "research-org", "trial:enrolled"}, true);
   invoke({"revoke", "patient-17", "research-org"}, true);
   invoke({"get", "patient-17", "research-org"}, false);
 
   client.invoke("health", {"get", "patient-17", "hospital-north"},
-                [](bool ok, const std::string& payload, sim::SimDuration) {
-                  std::printf("\nhospital-north's view of patient-17: %s\n",
-                              ok ? payload.c_str() : "(denied)");
+                [&ex](bool ok, const std::string& payload,
+                      sim::SimDuration) {
+                  ex.print("\nhospital-north's view of patient-17: %s\n",
+                           ok ? payload.c_str() : "(denied)");
                 });
   simu.run_until(simu.now() + sim::seconds(5));
 
   // --- The edge side: records served near the patient -----------------------
-  std::printf("\nedge serving check: in-region nano-DC vs remote cloud\n");
+  ex.print("\nedge serving check: in-region nano-DC vs remote cloud\n");
   edge::EdgeConfig ecfg;
   edge::EdgeNode nano(netw, netw.new_node_id(), edge::DeviceTier::NanoDC,
                       "hospital-north", 0, ecfg);
@@ -116,10 +117,10 @@ int main(int argc, char** argv) {
     cloud_ms = sim::to_millis(l);
   });
   simu.run_until(simu.now() + sim::seconds(2));
-  std::printf("  record fetch from own nano-DC: %.0f ms\n", nano_ms);
-  std::printf("  record fetch from remote cloud: %.0f ms\n", cloud_ms);
+  ex.print("  record fetch from own nano-DC: %.0f ms\n", nano_ms);
+  ex.print("  record fetch from remote cloud: %.0f ms\n", cloud_ms);
 
-  std::printf(
+  ex.print(
       "\ndenied operations: %d (every denial enforced by chaincode on all\n"
       "three orgs' peers — no administrator could quietly bypass consent).\n"
       "Records stay at the hospitals' edge; only consent facts and audit\n"

@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
                       [&](overlay::LookupResult r) {
                         dht_found = r.found_value;
                         dht_rpcs = r.rpcs_sent;
-                        std::printf("DHT lookup: %s (rpcs=%zu, %.0f ms)\n",
-                                    r.found_value ? r.value->c_str()
-                                                  : "(not found)",
-                                    r.rpcs_sent, sim::to_millis(r.elapsed));
+                        ex.print("DHT lookup: %s (rpcs=%zu, %.0f ms)\n",
+                                 r.found_value ? r.value->c_str()
+                                               : "(not found)",
+                                 r.rpcs_sent, sim::to_millis(r.elapsed));
                       });
   simu.run_until(simu.now() + sim::seconds(30));
 
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   simu.run_until(simu.now() + sim::minutes(10));
   miner.stop();
   simu.run_until(simu.now() + sim::minutes(1));
-  std::printf(
+  ex.print(
       "PoW chain: height=%llu, bob's balance=%lld, miner earned=%lld\n",
       static_cast<unsigned long long>(nodes[5]->tree().best_height()),
       static_cast<long long>(nodes[5]->utxo().balance_of(bob.address())),
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
   client.invoke("asset", {"create", "bike42", "alice", "900"},
                 [&](bool ok, const std::string&, sim::SimDuration latency) {
                   fabric_commit_ok = ok;
-                  std::printf(
+                  ex.print(
                       "Fabric commit: asset created=%s in %.0f ms "
                       "(endorse -> order -> validate)\n",
                       ok ? "yes" : "no", sim::to_millis(latency));
@@ -134,8 +134,8 @@ int main(int argc, char** argv) {
   client.invoke("asset", {"read", "bike42"},
                 [&](bool ok, const std::string& payload, sim::SimDuration) {
                   fabric_query_ok = ok;
-                  std::printf("Fabric query: bike42 -> %s\n",
-                              ok ? payload.c_str() : "(error)");
+                  ex.print("Fabric query: bike42 -> %s\n",
+                           ok ? payload.c_str() : "(error)");
                 });
   simu.run_until(simu.now() + sim::seconds(10));
 
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   ex.add_row({{"stage", "fabric_commit"}, {"ok", fabric_commit_ok}});
   ex.add_row({{"stage", "fabric_query"}, {"ok", fabric_query_ok}});
 
-  std::printf(
+  ex.print(
       "\nSimulated %s of protocol time; %llu events; every run of this "
       "program\nprints exactly the same thing (seeded determinism).\n",
       sim::format_duration(simu.now()).c_str(),

@@ -68,29 +68,29 @@ int main(int argc, char** argv) {
     simu.run_until(simu.now() + sim::seconds(3));
   };
 
-  std::printf("1. smart meters report a sunny afternoon\n");
+  ex.print("1. smart meters report a sunny afternoon\n");
   invoke({"meter", "house-1", "40"});   // rooftop solar surplus
   invoke({"meter", "house-2", "15"});
   invoke({"meter", "factory", "-30"});  // net consumer
   invoke({"meter", "school", "-10"});
 
-  std::printf("2. prosumers post offers\n");
+  ex.print("2. prosumers post offers\n");
   invoke({"offer", "off-1", "house-1", "25", "12"});
   invoke({"offer", "off-2", "house-2", "10", "14"});
-  std::printf("3. an over-sell is rejected by chaincode\n");
+  ex.print("3. an over-sell is rejected by chaincode\n");
   invoke({"offer", "off-3", "house-2", "500", "9"});
-  std::printf("   -> %s\n", last_error.c_str());
+  ex.print("   -> %s\n", last_error.c_str());
 
-  std::printf("4. consumers buy\n");
+  ex.print("4. consumers buy\n");
   invoke({"buy", "off-1", "factory"});
   invoke({"buy", "off-2", "school"});
-  std::printf("5. a double-buy of a consumed offer is rejected\n");
+  ex.print("5. a double-buy of a consumed offer is rejected\n");
   invoke({"buy", "off-1", "school"});
-  std::printf("   -> %s\n", last_error.c_str());
+  ex.print("   -> %s\n", last_error.c_str());
 
   // Concurrent conflicting buys: both endorse against the same state; MVCC
   // lets exactly one commit.
-  std::printf("6. two buyers race for the same offer (MVCC)\n");
+  ex.print("6. two buyers race for the same offer (MVCC)\n");
   invoke({"meter", "house-1", "20"});
   invoke({"offer", "off-4", "house-1", "18", "11"});
   int race_ok = 0, race_fail = 0;
@@ -101,24 +101,25 @@ int main(int argc, char** argv) {
                   });
   }
   simu.run_until(simu.now() + sim::seconds(5));
-  std::printf("   -> %d committed, %d rejected (exactly one may win)\n",
-              race_ok, race_fail);
+  ex.print("   -> %d committed, %d rejected (exactly one may win)\n",
+           race_ok, race_fail);
 
-  std::printf("\nfinal settled balances (identical on every org's peer):\n");
+  ex.print("\nfinal settled balances (identical on every org's peer):\n");
   for (const char* org : {"house-1", "house-2", "factory", "school"}) {
     client.invoke("energy", {"balance", org},
-                  [org](bool ok, const std::string& payload, sim::SimDuration) {
-                    std::printf("  %-8s: %s kWh\n", org,
-                                ok ? payload.c_str() : "?");
+                  [&ex, org](bool ok, const std::string& payload,
+                             sim::SimDuration) {
+                    ex.print("  %-8s: %s kWh\n", org,
+                             ok ? payload.c_str() : "?");
                   });
     simu.run_until(simu.now() + sim::seconds(3));
   }
-  std::printf("\nledger ops committed=%d rejected=%d; MVCC conflicts seen by "
-              "utility peer: %llu\n",
-              ok_count, rejected,
-              static_cast<unsigned long long>(
-                  peers[0]->stats().mvcc_conflicts));
-  std::printf(
+  ex.print("\nledger ops committed=%d rejected=%d; MVCC conflicts seen by "
+           "utility peer: %llu\n",
+           ok_count, rejected,
+           static_cast<unsigned long long>(
+               peers[0]->stats().mvcc_conflicts));
+  ex.print(
       "\nGrid trust without a broker: settlement needs 2-of-3 org\n"
       "endorsements, the regulator audits by holding a full replica, and\n"
       "conflicting trades are serialized by the ledger, not by a middleman.\n");

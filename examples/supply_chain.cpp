@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
                       ++committed;
                     } else {
                       ++failed;
-                      std::printf("  rejected: %s\n", payload.c_str());
+                      ex.print("  rejected: %s\n", payload.c_str());
                     }
                   });
     simu.run_until(simu.now() + sim::seconds(3));
@@ -92,22 +92,22 @@ int main(int argc, char** argv) {
   client.invoke("supplychain", {"trace", "pallet-3"},
                 [&](bool ok, const std::string& payload, sim::SimDuration) {
                   trace_ok = ok;
-                  std::printf("\nprovenance of pallet-3 (from the shared "
-                              "ledger):\n  %s\n",
-                              ok ? payload.c_str() : "(error)");
+                  ex.print("\nprovenance of pallet-3 (from the shared "
+                           "ledger):\n  %s\n",
+                           ok ? payload.c_str() : "(error)");
                 });
   simu.run_until(simu.now() + sim::seconds(5));
 
-  std::printf("\ncommitted=%d rejected=%d\n", committed, failed);
-  std::printf("per-org ledger state (should be identical):\n");
+  ex.print("\ncommitted=%d rejected=%d\n", committed, failed);
+  ex.print("per-org ledger state (should be identical):\n");
   for (auto& p : peers) {
-    std::printf("  %-8s: %zu keys, %llu txs committed, %llu policy "
-                "failures\n",
-                p->org().c_str(), p->state().size(),
-                static_cast<unsigned long long>(p->stats().txs_committed),
-                static_cast<unsigned long long>(p->stats().policy_failures));
+    ex.print("  %-8s: %zu keys, %llu txs committed, %llu policy "
+             "failures\n",
+             p->org().c_str(), p->state().size(),
+             static_cast<unsigned long long>(p->stats().txs_committed),
+             static_cast<unsigned long long>(p->stats().policy_failures));
   }
-  std::printf(
+  ex.print(
       "\nNo single org can rewrite history: every write carries 2-of-4 org\n"
       "endorsements and sits behind the Raft-ordered, hash-linked block\n"
       "stream each member independently validated.\n");

@@ -17,6 +17,14 @@ Key default_id(net::NodeId addr) {
   w.str("kad-node").u64(addr.value);
   return w.sha256();
 }
+
+/// First slot of a sorted sparse bucket table whose index is >= `index`.
+template <typename Slots>
+auto first_slot_from(Slots& slots, int index) {
+  return std::lower_bound(
+      slots.begin(), slots.end(), index,
+      [](const auto& s, int i) { return static_cast<int>(s.index) < i; });
+}
 }  // namespace
 
 std::optional<std::string> KademliaConfig::validate() const {
@@ -94,9 +102,7 @@ int KademliaNode::bucket_index(const Key& other) const {
 }
 
 KademliaNode::Bucket* KademliaNode::find_bucket(int index) {
-  const auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), index,
-      [](const BucketSlot& s, int i) { return static_cast<int>(s.index) < i; });
+  const auto it = first_slot_from(buckets_, index);
   if (it == buckets_.end() || static_cast<int>(it->index) != index) {
     return nullptr;
   }
@@ -108,9 +114,7 @@ const KademliaNode::Bucket* KademliaNode::find_bucket(int index) const {
 }
 
 KademliaNode::Bucket& KademliaNode::bucket_for(int index) {
-  const auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), index,
-      [](const BucketSlot& s, int i) { return static_cast<int>(s.index) < i; });
+  const auto it = first_slot_from(buckets_, index);
   if (it != buckets_.end() && static_cast<int>(it->index) == index) {
     return it->bucket;
   }
@@ -188,21 +192,54 @@ void KademliaNode::evict_or_keep(int bucket_idx, const Contact& candidate) {
 
 std::vector<Contact> KademliaNode::closest_contacts(const Key& target,
                                                     std::size_t count) const {
-  std::vector<Contact> all;
-  for (const BucketSlot& s : buckets_) {
-    all.insert(all.end(), s.bucket.contacts.begin(), s.bucket.contacts.end());
+  // XOR geometry of the k-buckets: with j = bucket_index(target), a contact
+  // in bucket i is at a distance from `target` whose top bit is below j when
+  // i == j, exactly j when i < j, and exactly i when i > j. So the closest
+  // contacts come from bucket j, then the union of the buckets below j, then
+  // buckets j+1, j+2, ... in turn; only each group needs ordering, and the
+  // walk stops once `count` are taken. Ids are assumed distinct (XOR
+  // distances to a fixed target are then unique), which makes the result
+  // exactly the first `count` of the whole table sorted by distance.
+  std::vector<Contact> out;
+  out.reserve(count);
+  const auto by_distance = [&](const Contact& a, const Contact& b) {
+    return a.id.distance_to(target) < b.id.distance_to(target);
+  };
+  // Append the closest contacts of slots [first, last), sorted, until
+  // `count` are taken: `out`'s tail is a bounded max-heap, so `out` never
+  // outgrows its reservation.
+  const auto take = [&](auto first, auto last) {
+    const std::size_t start = out.size();
+    if (start == count) return;
+    const auto group = [&] {
+      return out.begin() + static_cast<std::ptrdiff_t>(start);
+    };
+    for (auto s = first; s != last; ++s) {
+      for (const Contact& c : s->bucket.contacts) {
+        if (out.size() < count) {
+          out.push_back(c);
+          std::push_heap(group(), out.end(), by_distance);
+        } else if (by_distance(c, out[start])) {
+          std::pop_heap(group(), out.end(), by_distance);
+          out.back() = c;
+          std::push_heap(group(), out.end(), by_distance);
+        }
+      }
+    }
+    std::sort_heap(group(), out.end(), by_distance);
+  };
+  const int j = bucket_index(target);
+  auto above = first_slot_from(buckets_, j);
+  const auto below_end = above;
+  if (above != buckets_.end() && static_cast<int>(above->index) == j) {
+    take(above, above + 1);
+    ++above;
   }
-  // XOR distances to a fixed target are unique per id, so partial_sort is
-  // deterministic and skips ordering the (n - count) tail every reply.
-  const std::size_t keep = std::min(count, all.size());
-  std::partial_sort(all.begin(),
-                    all.begin() + static_cast<std::ptrdiff_t>(keep), all.end(),
-                    [&](const Contact& a, const Contact& b) {
-                      return a.id.distance_to(target) <
-                             b.id.distance_to(target);
-                    });
-  all.resize(keep);
-  return all;
+  take(buckets_.begin(), below_end);
+  for (; above != buckets_.end() && out.size() < count; ++above) {
+    take(above, above + 1);
+  }
+  return out;
 }
 
 std::vector<Contact> KademliaNode::routing_table() const {
@@ -274,6 +311,7 @@ struct KademliaNode::LookupState {
   enum class Status : std::uint8_t { New, InFlight, Done, Failed };
   struct Entry {
     Contact contact;
+    Key distance;  // contact.id XOR target, computed once at insert
     Status status = Status::New;
     std::uint32_t depth = 1;  // 1 = from our table, d+1 = found at depth d
     std::size_t tries = 0;    // RPC attempts issued to this contact
@@ -305,13 +343,10 @@ struct KademliaNode::LookupState {
 
   void insert(const Contact& c, std::uint32_t depth) {
     if (contains(c)) return;
-    Entry e{c, Status::New, depth};
+    Entry e{c, c.id.distance_to(target), Status::New, depth};
     const auto pos = std::lower_bound(
         shortlist.begin(), shortlist.end(), e,
-        [&](const Entry& a, const Entry& b) {
-          return a.contact.id.distance_to(target) <
-                 b.contact.id.distance_to(target);
-        });
+        [](const Entry& a, const Entry& b) { return a.distance < b.distance; });
     shortlist.insert(pos, e);
   }
 };

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <charconv>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -305,7 +306,7 @@ std::string ExperimentHarness::usage(const std::string& prog,
          id +
          ".jsonl)\n"
          "  --param K=V   bench-specific knob (repeatable; e.g. max_n=1000)\n"
-         "  --quiet       suppress banner and table\n";
+         "  --quiet       print nothing to stdout (banner, table, notes)\n";
 }
 
 ExperimentHarness::ExperimentHarness(std::string id, ExperimentOptions opts)
@@ -409,6 +410,14 @@ void ExperimentHarness::describe(std::string title, std::string claim,
               static_cast<unsigned long long>(opts_.seed));
   std::printf(
       "================================================================\n");
+}
+
+void ExperimentHarness::print(const char* fmt, ...) const {
+  if (opts_.quiet) return;
+  std::va_list args;
+  va_start(args, fmt);
+  std::vprintf(fmt, args);
+  va_end(args);
 }
 
 Simulator& ExperimentHarness::simulator() {

@@ -369,6 +369,12 @@ class ExperimentHarness {
   /// (unless --no-json), and return 0. Idempotent.
   int finish();
 
+  /// printf to stdout unless --quiet. Benches send every line of their own
+  /// (progress, closing commentary) through here, so --quiet leaves stdout
+  /// empty; errors still go to stderr.
+  void print(const char* fmt, ...) const
+      __attribute__((format(printf, 2, 3)));
+
   /// The JSON artifact body (also what finish() writes).
   std::string to_json() const;
 

@@ -207,3 +207,161 @@ TEST(Kademlia, RejoinAfterLeaveWorks) {
   EXPECT_TRUE(kad.nodes[5]->online());
   EXPECT_GE(kad.nodes[5]->routing_table_size(), 3u);
 }
+
+namespace {
+
+std::uint8_t bit_mask(int bit) {
+  return static_cast<std::uint8_t>(1u << (7 - bit % 8));
+}
+
+/// A random id in bucket `j` of `self`'s table: it shares the top (255 - j)
+/// bits with `self`, differs at the next one, and is random below it.
+ov::Key id_in_bucket(const ov::Key& self, int j, ds::Rng& rng) {
+  ov::Key k = self;
+  const int flip = 255 - j;  // bit position, 0 = most significant
+  for (int b = flip + 1; b < 256; ++b) {
+    if (rng.next() & 1) k.bytes[b / 8] ^= bit_mask(b);
+  }
+  k.bytes[flip / 8] ^= bit_mask(flip);
+  return k;
+}
+
+/// A raw host that sends FIND_NODE requests and records the replies.
+struct FindNodeProbe final : dn::Host {
+  dn::Network& net;
+  dn::NodeId addr;
+  ov::Contact self;
+  std::vector<ov::Contact> reply;
+  bool answered = false;
+
+  explicit FindNodeProbe(dn::Network& n)
+      : net(n),
+        addr(n.new_node_id()),
+        self{decentnet::crypto::sha256("find-node-probe"), addr} {
+    net.attach(addr, this);
+  }
+
+  void handle_message(const dn::Message& msg) override {
+    if (!msg.is<ov::kademlia_msg::FindNodeReply>()) return;
+    reply = dn::payload_as<ov::kademlia_msg::FindNodeReply>(msg).contacts;
+    answered = true;
+  }
+
+  /// FIND_NODE(target) to `node`; the reply lands in `reply`.
+  void ask(ds::Simulator& sim, const ov::KademliaNode& node,
+           const ov::Key& target) {
+    answered = false;
+    net.send(addr, node.addr(),
+             ov::kademlia_msg::FindNode{target, self, /*want_value=*/false},
+             120, /*cookie=*/1);
+    sim.run_until(sim.now() + ds::millis(100));
+  }
+};
+
+/// What a FIND_NODE reply must hold: the node's whole table sorted by XOR
+/// distance to `target`, cut to k, then without the requester (so a
+/// requester among the k closest gets k - 1 back).
+std::vector<ov::Contact> brute_force_closest(const ov::KademliaNode& node,
+                                             const ov::Key& target,
+                                             dn::NodeId requester,
+                                             std::size_t k) {
+  std::vector<ov::Contact> all = node.routing_table();
+  std::sort(all.begin(), all.end(),
+            [&](const ov::Contact& a, const ov::Contact& b) {
+              return a.id.distance_to(target) < b.id.distance_to(target);
+            });
+  if (all.size() > k) all.resize(k);
+  std::erase_if(all, [&](const ov::Contact& c) { return c.addr == requester; });
+  return all;
+}
+
+void expect_reply_is_closest(FindNodeProbe& probe, ds::Simulator& sim,
+                             const ov::KademliaNode& node,
+                             const ov::Key& target, std::size_t k) {
+  probe.ask(sim, node, target);
+  ASSERT_TRUE(probe.answered);
+  const auto want = brute_force_closest(node, target, probe.addr, k);
+  ASSERT_EQ(probe.reply.size(), want.size())
+      << "target " << target.short_hex();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(probe.reply[i].addr, want[i].addr) << "rank " << i;
+    EXPECT_EQ(probe.reply[i].id, want[i].id) << "rank " << i;
+  }
+}
+
+int contacts_in_bucket(const ov::KademliaNode& node, int j) {
+  int n = 0;
+  for (const auto& c : node.routing_table()) {
+    if (255 - node.id().distance_to(c.id).leading_zero_bits() == j) ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
+// FIND_NODE replies walk the k-buckets outward from the target's bucket
+// rather than sorting the whole table; the answer must still be exactly the
+// brute-force XOR top-k.
+TEST(Kademlia, FindNodeReplyIsBruteForceClosest) {
+  ds::Simulator sim{7};
+  dn::Network net{sim, std::make_unique<dn::ConstantLatency>(ds::millis(5))};
+  ov::KademliaConfig cfg;
+  // Overflowing buckets drop their oldest contact at once: no eviction
+  // pings whose timeouts would reshape the table between asks.
+  cfg.naive_eviction = true;
+  ov::KademliaNode node(net, net.new_node_id(), cfg);
+  node.join({});
+  ds::Rng rng(99);
+  // Hand-filled table: full far buckets, partial middle ones, bucket 230
+  // held below k and bucket 220 left empty on purpose.
+  for (int j = 200; j < 256; ++j) {
+    if (j == 220) continue;
+    const std::size_t n = j == 230 ? 3 : rng.next() % (cfg.k + 4);
+    for (std::size_t i = 0; i < n; ++i) {
+      node.observe({id_in_bucket(node.id(), j, rng), net.new_node_id()});
+    }
+  }
+  FindNodeProbe probe(net);
+  // Let the probe's own first contact settle into the table.
+  probe.ask(sim, node, node.id());
+  ASSERT_EQ(contacts_in_bucket(node, 220), 0);
+  ASSERT_EQ(contacts_in_bucket(node, 230), 3);
+  ASSERT_GT(node.routing_table_size(), cfg.k);
+
+  for (int i = 0; i < 64; ++i) {
+    ov::Key target;
+    for (auto& b : target.bytes) b = static_cast<std::uint8_t>(rng.next());
+    expect_reply_is_closest(probe, sim, node, target, cfg.k);
+  }
+  expect_reply_is_closest(probe, sim, node, node.id(), cfg.k);
+  expect_reply_is_closest(probe, sim, node, id_in_bucket(node.id(), 220, rng),
+                          cfg.k);
+  expect_reply_is_closest(probe, sim, node, id_in_bucket(node.id(), 230, rng),
+                          cfg.k);
+  // Targets deep below every populated bucket: the answer is the nearest
+  // buckets' union.
+  expect_reply_is_closest(probe, sim, node, id_in_bucket(node.id(), 3, rng),
+                          cfg.k);
+}
+
+TEST(Kademlia, FindNodeReplyFromTableSmallerThanK) {
+  ds::Simulator sim{8};
+  dn::Network net{sim, std::make_unique<dn::ConstantLatency>(ds::millis(5))};
+  ov::KademliaConfig cfg;
+  ov::KademliaNode node(net, net.new_node_id(), cfg);
+  node.join({});
+  ds::Rng rng(5);
+  for (int j : {255, 240, 240}) {
+    node.observe({id_in_bucket(node.id(), j, rng), net.new_node_id()});
+  }
+  FindNodeProbe probe(net);
+  probe.ask(sim, node, node.id());
+  ASSERT_LT(node.routing_table_size(), cfg.k);
+  for (int i = 0; i < 16; ++i) {
+    ov::Key target;
+    for (auto& b : target.bytes) b = static_cast<std::uint8_t>(rng.next());
+    expect_reply_is_closest(probe, sim, node, target, cfg.k);
+  }
+  expect_reply_is_closest(probe, sim, node, node.id(), cfg.k);
+  EXPECT_EQ(probe.reply.size(), node.routing_table_size() - 1);
+}
