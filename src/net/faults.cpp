@@ -14,30 +14,6 @@ namespace {
 
 namespace jsonlite = sim::jsonlite;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string event_context(std::size_t index, FaultEvent::Kind kind) {
   return "fault plan event " + std::to_string(index) + " (" +
          fault_kind_name(kind) + ")";
@@ -225,7 +201,7 @@ std::string FaultPlan::to_json() const {
     switch (ev.kind) {
       case FaultEvent::Kind::Partition: {
         out += ", \"heal_at\": " + std::to_string(ev.heal_at);
-        out += ", \"name\": \"" + json_escape(ev.name) + "\"";
+        out += ", \"name\": \"" + jsonlite::escape(ev.name) + "\"";
         out += ", \"groups\": [";
         for (std::size_t g = 0; g < ev.groups.size(); ++g) {
           // Sets iterate in hash order; sort members so same plan → same

@@ -13,14 +13,21 @@
 // through net::FaultPlan (see net/faults.hpp).
 //
 // Sharded execution (enable_sharding): the Network can route over a
-// sim::ShardedKernel instead of a single Simulator. Hosts live on the shard
-// of their NodeId (kernel.shard_of), sends execute on the *sender's* shard
-// with per-shard RNG/counter/span contexts (so the parallel phase never
-// contends), and deliveries to another shard travel through the kernel's
-// deterministic mailboxes. The Network also computes the kernel's
-// conservative lookahead from its latency model (min_latency): no message
-// can arrive sooner — transport delays are strictly additive on top of the
-// sample — which is what makes the window barrier sound.
+// sim::ShardedKernel instead of a single Simulator. There is one delivery
+// pipeline either way: every send runs on its sender's shard against that
+// shard's send-side context (RNG stream, counters, span table, message
+// sequence), and an unsharded Network is simply the one-context case, its
+// counters bound into metrics(). Hosts live on the shard of their NodeId
+// (kernel.shard_of), so the parallel phase never contends, and deliveries
+// to another shard travel through the kernel's deterministic mailboxes.
+// What still differs is resolved by one `kernel_ != nullptr` test each: a
+// sharded send resolves peers find-only (an unregistered receiver drops as
+// "offline" at send) where the unsharded one interns them, hop ids encode
+// their shard, and cross-shard deliveries are posted through the kernel.
+// The Network also computes the kernel's conservative lookahead from its
+// latency model (min_latency): no message can arrive sooner — transport
+// delays are strictly additive on top of the sample — which is what makes
+// the window barrier sound.
 // Preconditions for the parallel phase (checked or documented below):
 // every NodeId is register_node()'d before run_until, and the fault surface
 // (partitions, penalties, unreachability, link specs) is configured only
@@ -31,7 +38,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -98,12 +104,14 @@ class Network {
   /// transport runs sharded too (send-side state only — see
   /// net/transport.hpp). Throws on configurations that cannot run sharded
   /// (> 64 shards, span hop encoding).
-  /// A 1-shard kernel is a no-op: the legacy path already is that kernel.
+  /// A 1-shard kernel is a no-op: the unsharded network already is that
+  /// kernel. Call before the first send: the per-shard contexts start their
+  /// message sequences and tallies afresh.
   void enable_sharding(sim::ShardedKernel& kernel);
   bool sharded() const { return kernel_ != nullptr; }
 
   /// The kernel shard that owns `id` — the Simulator a node's timers and
-  /// local state must live on. The legacy (unsharded) answer is simulator().
+  /// local state must live on. The unsharded answer is simulator().
   sim::Simulator& simulator_for(NodeId id);
   /// The registry a node owned by `id`'s shard must bind its handles in
   /// (per-shard in sharded mode so the parallel phase never contends;
@@ -119,7 +127,7 @@ class Network {
   /// Pre-create the dense-table entry for `id`. Sharded runs must register
   /// every NodeId before run_until: the parallel phase resolves peers with
   /// find-only lookups, and interning concurrently would be a data race.
-  /// Idempotent; the legacy path interns lazily.
+  /// Idempotent; the unsharded path interns lazily.
   void register_node(NodeId id) { (void)ensure_node(id); }
 
   /// Allocate a fresh NodeId (sequential; deterministic).
@@ -181,9 +189,6 @@ class Network {
   bool partition_active(std::string_view name) const;
   std::size_t partition_count() const { return partitions_.size(); }
 
-  /// Legacy bipartition API: installs the anonymous partition "" separating
-  /// `group_a` from everyone else. An empty set clears it.
-  void set_partition(std::unordered_set<std::uint64_t> group_a);
   /// Remove every active partition.
   void clear_partition() { partitions_.clear(); }
 
@@ -262,33 +267,27 @@ class Network {
   /// barrier that carried the hop id across (and chunked storage means the
   /// owner appending more entries never moves published ones).
   std::uint32_t span_depth(std::uint32_t hop) const {
-    if (!shard_ctx_.empty()) {
-      if (hop == 0) return 0;
-      return shard_ctx_[hop >> kSpanLocalBits].spans.depth(hop &
-                                                           kSpanLocalMask);
-    }
-    return span_table_.depth(hop);
+    if (kernel_ == nullptr) return span_table_.depth(hop);
+    if (hop == 0) return 0;
+    return shard_ctx_[hop >> kSpanLocalBits].spans.depth(hop & kSpanLocalMask);
   }
   /// Total span hops allocated (message hops + virtual roots). Sharded:
   /// read between runs only (sums per-shard tables).
   std::uint64_t span_hops() const {
-    if (!shard_ctx_.empty()) {
-      std::uint64_t n = 0;
-      for (const NetShard& c : shard_ctx_) n += c.spans.size();
-      return n;
-    }
-    return span_table_.size();
+    std::uint64_t n = span_table_.size();
+    for (const NetShard& c : shard_ctx_) n += c.spans.size();
+    return n;
   }
 
   /// Total payload bytes accepted for delivery so far. Sharded: read
   /// between runs only (sums per-shard tallies).
   std::uint64_t bytes_sent() const {
-    std::uint64_t n = bytes_sent_;
+    std::uint64_t n = 0;
     for (const NetShard& c : shard_ctx_) n += c.bytes_sent;
     return n;
   }
   std::uint64_t messages_sent() const {
-    std::uint64_t n = messages_sent_;
+    std::uint64_t n = 0;
     for (const NetShard& c : shard_ctx_) n += c.messages_sent;
     return n;
   }
@@ -410,37 +409,41 @@ class Network {
   };
 
   /// Send-side state of one kernel shard: sends executing on shard s use
-  /// only this context, so the parallel phase shares nothing mutable. The
-  /// counters live in the kernel's per-shard registries and are folded into
-  /// the experiment registry after the run (deterministic shard order).
-  struct NetShard {
-    explicit NetShard(sim::Rng r) : rng(r) {}
+  /// only this context, so the parallel phase shares nothing mutable. An
+  /// unsharded network has exactly one, whose counters are its own
+  /// metrics()' handles; under sharding they live in the kernel's per-shard
+  /// registries and are folded into the experiment registry after the run
+  /// (deterministic shard order). Counters are registered once here, so the
+  /// per-message path never does a string lookup. Cache-line aligned: each
+  /// shard's worker writes its own context on every send.
+  struct alignas(64) NetShard {
+    NetShard(sim::Rng r, sim::MetricRegistry& reg);
     sim::Rng rng;
     std::uint64_t messages_sent = 0;
     std::uint64_t bytes_sent = 0;
-    sim::Counter* m_messages_sent = nullptr;
-    sim::Counter* m_bytes_sent = nullptr;
-    sim::Counter* m_dropped_partition = nullptr;
-    sim::Counter* m_dropped_unreachable = nullptr;
-    sim::Counter* m_dropped_loss = nullptr;
-    sim::Counter* m_dropped_offline = nullptr;
-    sim::Counter* m_dropped_queue = nullptr;
-    sim::Counter* m_duplicated = nullptr;
-    sim::Counter* m_reordered = nullptr;
-    sim::Counter* m_span_hops = nullptr;
+    sim::Counter& m_messages_sent;
+    sim::Counter& m_bytes_sent;
+    sim::Counter& m_dropped_partition;
+    sim::Counter& m_dropped_unreachable;
+    sim::Counter& m_dropped_loss;
+    sim::Counter& m_dropped_offline;
+    sim::Counter& m_dropped_queue;
+    sim::Counter& m_duplicated;
+    sim::Counter& m_reordered;
+    sim::Counter& m_span_hops;
+    /// Sharded runs only; the unsharded network allocates in span_table_.
     ShardSpanTable spans;
   };
 
   void deliver(Message msg);
-  void deliver_sharded(Message msg);
-  void schedule_delivery(Host** dst, sim::SimTime arrive, Message msg,
-                         std::uint64_t msg_seq);
-  void schedule_delivery_sharded(std::size_t src_shard, std::size_t dst_shard,
-                                 Host** dst, sim::SimTime arrive, Message msg,
-                                 std::uint64_t msg_seq);
-  std::uint32_t alloc_span_hop(std::uint32_t parent);
-  std::uint32_t alloc_span_hop_sharded(NetShard& ctx, std::uint32_t shard,
-                                       std::uint32_t parent);
+  void schedule_delivery(std::uint32_t src_shard, std::size_t dst_shard,
+                         Host** dst, sim::SimTime arrive, Message msg,
+                         std::uint64_t msg_seq, bool traced);
+  std::uint32_t alloc_span_hop(NetShard& ctx, std::uint32_t shard,
+                               std::uint32_t parent);
+  /// Shard executing the current send (0 when unsharded, without touching
+  /// the kernel's thread-local).
+  std::uint32_t current_shard() const;
   /// Intern `id` and guarantee its host slot (and nothing else — cold
   /// arrays stay lazy) exists. The only mutating resolver; the sharded
   /// parallel phase must never reach it with an unseen id.
@@ -464,28 +467,13 @@ class Network {
   sim::Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;
   NetworkConfig config_;
-  sim::Rng rng_;
   std::unique_ptr<sim::MetricRegistry> owned_metrics_;
   sim::MetricRegistry& metrics_;
-  // Stable handles, registered once; the per-message path never does a
-  // string lookup.
-  sim::Counter& m_messages_sent_;
-  sim::Counter& m_bytes_sent_;
-  sim::Counter& m_dropped_partition_;
-  sim::Counter& m_dropped_unreachable_;
-  sim::Counter& m_dropped_loss_;
-  sim::Counter& m_dropped_offline_;
-  sim::Counter& m_dropped_queue_;
-  sim::Counter& m_duplicated_;
-  sim::Counter& m_reordered_;
-  sim::Counter& m_span_hops_;
-  /// Hop id -> tree depth, one entry per accepted message (plus one per
-  /// new_span_root) while tracking is on; hop ids are nonzero (Span{0,0}
-  /// means "untracked").
+  /// Unsharded hop id -> tree depth, one entry per accepted message (plus
+  /// one per new_span_root) while tracking is on; hop ids are nonzero
+  /// (Span{0,0} means "untracked").
   SpanTable span_table_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t messages_sent_ = 0;
   /// Atomic because churn transitions attach/detach on their peer's shard;
   /// relaxed is enough (it is a tally, not a synchronization point).
   std::atomic<std::size_t> online_{0};
@@ -508,7 +496,10 @@ class Network {
   std::vector<Partition> partitions_;
   /// Non-null once enable_sharding() wired a multi-shard kernel.
   sim::ShardedKernel* kernel_ = nullptr;
-  std::deque<NetShard> shard_ctx_;  // deque: counter/table addresses stable
+  /// One context per shard; exactly one while unsharded. Sized once (by the
+  /// constructor, then by enable_sharding) and never grown after, so span
+  /// tables never move while other shards read them.
+  std::vector<NetShard> shard_ctx_;
 };
 
 }  // namespace decentnet::net

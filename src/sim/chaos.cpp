@@ -416,41 +416,13 @@ ShrinkResult ChaosEngine::shrink(const net::FaultPlan& plan,
 // ChaosRepro
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string ChaosRepro::to_json() const {
   std::string plan_json = plan.to_json();
   while (!plan_json.empty() && plan_json.back() == '\n') plan_json.pop_back();
   std::string out = "{\n";
-  out += "  \"protocol\": \"" + escape(protocol) + "\",\n";
+  out += "  \"protocol\": \"" + jsonlite::escape(protocol) + "\",\n";
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
-  out += "  \"violation\": \"" + escape(violation) + "\",\n";
+  out += "  \"violation\": \"" + jsonlite::escape(violation) + "\",\n";
   out += "  \"plan\": " + plan_json + "\n";
   out += "}\n";
   return out;

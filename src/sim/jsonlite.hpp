@@ -6,8 +6,9 @@
 // repro file fails with an actionable message rather than a silent default.
 //
 // Writing stays with the callers (each serializer emits a fixed key order so
-// round-trips are byte-stable); this header only standardizes reading and
-// the shortest-round-trip double formatting both sides share.
+// round-trips are byte-stable); this header only standardizes reading, the
+// string escaping of the fault and chaos files, and the shortest-round-trip
+// double formatting both sides share.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +60,11 @@ struct JsonValue {
 /// Parse one complete JSON document. Throws std::invalid_argument with the
 /// byte offset and expectation on malformed input or trailing garbage.
 JsonValue parse(std::string_view text);
+
+/// JSON string-body escaping for the FaultPlan and ChaosRepro writers: `"`,
+/// `\\`, `\n`, `\r` and `\t` get their short escapes, other control bytes
+/// \u00XX; everything else (UTF-8 included) passes through.
+std::string escape(std::string_view s);
 
 /// Shortest-round-trip double formatting (matches the experiment artifact
 /// writer): integers render without exponent noise, and parse(format(x))

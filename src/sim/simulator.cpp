@@ -3,7 +3,21 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/simulator_drain.hpp"
+
 namespace decentnet::sim {
+
+namespace {
+/// The uninstrumented drain: every hook compiles away.
+struct NoHooks {
+  void before_fire(SimTime) {}
+  template <class Fire>
+  void fire(const char*, Fire&& f) {
+    f();
+  }
+  void after_run(SimTime) {}
+};
+}  // namespace
 
 std::uint32_t Simulator::alloc_slot() {
   if (!free_.empty()) {
@@ -159,40 +173,16 @@ void Simulator::fire_top(const HeapEntry& top) {
 
 std::size_t Simulator::run_until(SimTime until) {
   if (profiler_ != nullptr || telemetry_ != nullptr) [[unlikely]] {
-    return run_until_instrumented(until);
+    return drain_instrumented(until, /*bounded=*/true);
   }
-  std::size_t n = 0;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_[0];
-    // Skip cancelled events cheaply without advancing the clock (even past
-    // the horizon — reclamation is what empties the queue).
-    if (arena_[top.slot].state == State::kCancelled) {
-      reclaim_cancelled_top(top);
-      continue;
-    }
-    if (top.when > until) break;
-    fire_top(top);
-    ++n;
-  }
-  if (now_ < until) now_ = until;
-  return n;
+  return drain<true>(until, NoHooks{});
 }
 
 std::size_t Simulator::run_all() {
   if (profiler_ != nullptr || telemetry_ != nullptr) [[unlikely]] {
-    return run_all_instrumented();
+    return drain_instrumented(0, /*bounded=*/false);
   }
-  std::size_t n = 0;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_[0];
-    if (arena_[top.slot].state == State::kCancelled) {
-      reclaim_cancelled_top(top);
-      continue;
-    }
-    fire_top(top);
-    ++n;
-  }
-  return n;
+  return drain<false>(0, NoHooks{});
 }
 
 void Simulator::clear() {

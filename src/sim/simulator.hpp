@@ -208,13 +208,17 @@ class Simulator {
   void heap_pop_min();
   void fire_top(const HeapEntry& top);
   void reclaim_cancelled_top(const HeapEntry& top);
-  /// Drain-loop twins used when a profiler and/or telemetry is installed;
-  /// selected once per run_* call and defined in simulator_profiled.cpp — a
-  /// separate TU, so the uninstrumented loops (and everything compiled next
-  /// to them) keep their pre-profiler codegen. See the comment atop that
-  /// file.
-  std::size_t run_until_instrumented(SimTime until);
-  std::size_t run_all_instrumented();
+  /// The one drain loop behind run_until (kBounded) and run_all, over a
+  /// compile-time hook policy; defined in sim/simulator_drain.hpp and
+  /// instantiated only by the kernel's own translation units.
+  template <bool kBounded, class Hooks>
+  std::size_t drain(SimTime until, Hooks hooks);
+  /// The drain with profiler/telemetry hooks, used when either is
+  /// installed; selected once per run_* call and defined in
+  /// simulator_profiled.cpp — a separate TU, so the uninstrumented loops
+  /// (and everything compiled next to them) keep their pre-profiler
+  /// codegen. See the comment atop that file.
+  std::size_t drain_instrumented(SimTime until, bool bounded);
   void arm_periodic(std::uint32_t slot, std::uint32_t gen, SimTime when,
                     const char* tag);
   void fire_periodic(std::uint32_t slot, std::uint32_t gen);

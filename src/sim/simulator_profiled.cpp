@@ -1,17 +1,17 @@
-// Instrumented drain loops, deliberately in their own translation unit.
+// The instrumented drain, deliberately in its own translation unit.
 //
-// These are separate copies of run_until/run_all — selected once per run_*
-// call, not per event — used whenever a profiler and/or telemetry is
-// installed, so installing neither leaves the hot loops' codegen untouched.
-// Two earlier shapes measurably regressed the fill/drain micros with the
-// profiler *disabled*:
+// This is the one drain template (sim/simulator_drain.hpp) instantiated with
+// profiler/telemetry hooks — selected once per run_* call, not per event —
+// used whenever a profiler and/or telemetry is installed, so installing
+// neither leaves the hot loops' codegen untouched. Two earlier shapes
+// measurably regressed the fill/drain micros with the profiler *disabled*:
 //   * a per-event `if (profiler_)` inside fire_top perturbed GCC's inlining
 //     of the fire path;
-//   * defining these loops inside simulator.cpp shifted the unit-growth
-//     inlining budget for the whole TU (alloc_slot's fast path, for one,
-//     grew a full spill prologue).
-// Keeping them here leaves simulator.cpp compiling to the same code as
-// before the profiler existed, give or take the two entry checks.
+//   * defining the instrumented loops inside simulator.cpp shifted the
+//     unit-growth inlining budget for the whole TU (alloc_slot's fast path,
+//     for one, grew a full spill prologue).
+// Instantiating them here leaves simulator.cpp compiling to the same code
+// as before the profiler existed, give or take the two entry checks.
 //
 // The profiler timer brackets all of fire_top, so per-tag wall time includes
 // the kernel's own pop/recycle work, not just the callback body.
@@ -23,64 +23,41 @@
 // cost when telemetry is on but not yet due is one load + compare.
 #include "sim/profiler.hpp"
 #include "sim/simulator.hpp"
+#include "sim/simulator_drain.hpp"
 #include "sim/telemetry.hpp"
 
 namespace decentnet::sim {
 
-std::size_t Simulator::run_until_instrumented(SimTime until) {
-  Profiler* const prof = profiler_;
-  Telemetry* const tel = telemetry_;
-  std::size_t n = 0;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_[0];
-    if (arena_[top.slot].state == State::kCancelled) {
-      reclaim_cancelled_top(top);
-      continue;
-    }
-    if (top.when > until) break;
-    if (tel != nullptr && top.when > tel->next_due()) {
-      tel->advance_to(top.when - 1);
-    }
-    if (prof != nullptr) {
-      const char* tag = arena_[top.slot].tag;
-      const std::uint64_t t0 = Profiler::now_ns();
-      fire_top(top);
-      prof->record(tag, Profiler::now_ns() - t0);
-    } else {
-      fire_top(top);
-    }
-    ++n;
-  }
-  if (now_ < until) now_ = until;
-  if (tel != nullptr) tel->advance_to(until);
-  return n;
-}
+namespace {
 
-std::size_t Simulator::run_all_instrumented() {
-  Profiler* const prof = profiler_;
-  Telemetry* const tel = telemetry_;
-  std::size_t n = 0;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_[0];
-    if (arena_[top.slot].state == State::kCancelled) {
-      reclaim_cancelled_top(top);
-      continue;
-    }
-    if (tel != nullptr && top.when > tel->next_due()) {
-      tel->advance_to(top.when - 1);
-    }
-    if (prof != nullptr) {
-      const char* tag = arena_[top.slot].tag;
-      const std::uint64_t t0 = Profiler::now_ns();
-      fire_top(top);
-      prof->record(tag, Profiler::now_ns() - t0);
-    } else {
-      fire_top(top);
-    }
-    ++n;
+/// Either pointer may be null (a run with only one of the two installed).
+struct InstrumentedHooks {
+  Profiler* prof;
+  Telemetry* tel;
+
+  void before_fire(SimTime when) {
+    if (tel != nullptr && when > tel->next_due()) tel->advance_to(when - 1);
   }
-  if (tel != nullptr) tel->advance_to(now_);
-  return n;
+  template <class Fire>
+  void fire(const char* tag, Fire&& f) {
+    if (prof == nullptr) {
+      f();
+      return;
+    }
+    const std::uint64_t t0 = Profiler::now_ns();
+    f();
+    prof->record(tag, Profiler::now_ns() - t0);
+  }
+  void after_run(SimTime t) {
+    if (tel != nullptr) tel->advance_to(t);
+  }
+};
+
+}  // namespace
+
+std::size_t Simulator::drain_instrumented(SimTime until, bool bounded) {
+  const InstrumentedHooks hooks{profiler_, telemetry_};
+  return bounded ? drain<true>(until, hooks) : drain<false>(until, hooks);
 }
 
 }  // namespace decentnet::sim

@@ -9,10 +9,11 @@
 // the simulation, never of wall-clock:
 //
 //   * Sampling happens at fixed sim-time boundaries (t = k * interval). On a
-//     plain Simulator the instrumented drain loop (simulator_profiled.cpp)
-//     samples between events; on a ShardedKernel the driver samples at
-//     barrier windows while workers are quiescent, so per-shard series are
-//     byte-identical at any --sim-threads — the same contract as traces.
+//     plain Simulator the drain loop's telemetry hook samples between events
+//     (sim/simulator_drain.hpp, instantiated in simulator_profiled.cpp); on
+//     a ShardedKernel the driver samples at barrier windows while workers
+//     are quiescent, so per-shard series are byte-identical at any
+//     --sim-threads — the same contract as traces.
 //   * Within one boundary, series are emitted in (shard, name) order.
 //   * A rate series reports the counter delta since the previous boundary
 //     (0 across idle gaps). When a sharded barrier crosses several

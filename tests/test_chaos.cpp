@@ -14,6 +14,7 @@
 #include "net/network.hpp"
 #include "sim/chaos.hpp"
 #include "sim/invariants.hpp"
+#include "sim/jsonlite.hpp"
 #include "sim/simulator.hpp"
 
 namespace dn = decentnet::net;
@@ -162,6 +163,25 @@ TEST(ChaosRepro, RoundTripPreservesSeedsAbove2To63) {
   EXPECT_EQ(back.protocol, "raft");
   EXPECT_EQ(back.violation, repro.violation);
   EXPECT_EQ(back.to_json(), once);
+}
+
+TEST(ChaosRepro, EscapedStringsRoundTripThroughJsonlite) {
+  // FaultPlan and ChaosRepro writers share jsonlite::escape: short escapes
+  // for quote, backslash, \n, \r and \t, \u00XX for other control bytes,
+  // every other byte verbatim.
+  EXPECT_EQ(ds::jsonlite::escape("a\"b\\c\n\r\t\x01\x1f\x7f"),
+            "a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\x7f");
+  std::string every;
+  for (int c = 1; c < 256; ++c) every += static_cast<char>(c);
+  EXPECT_EQ(ds::jsonlite::parse("\"" + ds::jsonlite::escape(every) + "\"").str,
+            every);
+
+  ds::ChaosRepro repro;
+  repro.protocol = "raft";
+  repro.violation = "stalled\n\t\"quoted\" \\ path";
+  const std::string once = repro.to_json();
+  EXPECT_EQ(ds::ChaosRepro::from_json(once).violation, repro.violation);
+  EXPECT_EQ(ds::ChaosRepro::from_json(once).to_json(), once);
 }
 
 // --- Liveness oracles: each fires on a seeded negative case ----------------

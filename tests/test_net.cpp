@@ -114,7 +114,7 @@ TEST(Network, PartitionBlocksCrossTraffic) {
   net.attach(ida, &a);
   net.attach(idb, &b);
   net.attach(idc, &c);
-  net.set_partition({ida.value, idb.value});  // c is on the other side
+  net.add_partition("split", {{ida.value, idb.value}});  // c: other side
   net.send(ida, idb, 1, 10);  // same side: delivered
   net.send(ida, idc, 2, 10);  // cross: dropped
   sim.run_all();

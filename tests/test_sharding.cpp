@@ -1,10 +1,12 @@
 // ShardedKernel contract tests: thread-count byte-identity of traces,
 // cross-shard mailbox delivery at the lookahead boundary, the
-// zero-lookahead sequential fallback, cancel semantics across shards, and
-// clear()'s slot+generation teardown of outstanding cross-shard handles.
+// zero-lookahead sequential fallback, cancel semantics across shards,
+// clear()'s slot+generation teardown of outstanding cross-shard handles,
+// and a faulted network run pinned byte for byte at one and four shards.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -327,4 +329,166 @@ TEST(Sharding, PerShardStatsAreDeterministic) {
     return std::make_tuple(fired, mail_out, kernel.windows_run());
   };
   EXPECT_EQ(run(1), run(4));
+}
+
+// ---------------------------------------------------------------------------
+// Fault-path characterization: one traced, span-tracked network run that
+// reaches every drop reason (partition, unreachable, loss, Tcp bounded
+// queue, offline at arrival, offline at send) plus duplication, reorder
+// jitter and a latency penalty. Both decompositions are pinned byte for
+// byte in tests/golden/, so any change to the send→deliver pipeline that
+// moves a record, an RNG draw or a sequence number fails here.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Relays every message to two peers picked from its payload until the hop
+/// budget (the cookie) runs out, passing the incoming span as the parent.
+struct Relay final : dn::Host {
+  dn::Network* net = nullptr;
+  dn::NodeId self;
+  std::vector<dn::NodeId> peers;
+  void handle_message(const dn::Message& msg) override {
+    if (msg.cookie == 0) return;
+    const auto v = static_cast<std::size_t>(dn::payload_as<int>(msg));
+    for (std::size_t k = 0; k < 2; ++k) {
+      const dn::NodeId to = peers[(v + k + msg.cookie) % peers.size()];
+      net->send(self, to, static_cast<int>(v + 1), 3000, msg.cookie - 1,
+                msg.span);
+    }
+  }
+};
+
+std::string faulted_network_trace(std::size_t shards, std::size_t threads) {
+  std::ostringstream out;
+  {
+    ds::JsonlTraceSink sink(out);
+    ds::ShardedKernel kernel(/*seed=*/23, shards);
+    kernel.set_trace(&sink);
+    const std::size_t n = 16;
+    dn::NetworkConfig cfg;
+    cfg.drop_probability = 0.05;
+    cfg.transport.mode = dn::TransportMode::Tcp;
+    cfg.transport.link.up_bps = 200e3;
+    cfg.transport.link.down_bps = 1e6;
+    cfg.transport.link.queue_bytes = 9500;
+    cfg.expected_nodes = n;
+    cfg.track_spans = true;
+    dn::Network netw(
+        kernel.shard(0),
+        std::make_unique<dn::UniformLatency>(ds::millis(10), ds::millis(30)),
+        cfg, nullptr);
+    netw.enable_sharding(kernel);
+
+    std::vector<dn::NodeId> addrs(n);
+    for (std::size_t i = 0; i < n; ++i) addrs[i] = netw.new_node_id();
+    for (std::size_t i = 0; i < n; ++i) netw.register_node(addrs[i]);
+    // Never registered: sharded sends drop it as offline at send, the
+    // single-shard path interns it and drops at arrival.
+    const dn::NodeId ghost = netw.new_node_id();
+
+    std::vector<Relay> relays(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      relays[i].net = &netw;
+      relays[i].self = addrs[i];
+      for (std::size_t d = 1; d <= 5; ++d) {
+        relays[i].peers.push_back(addrs[(i + d) % n]);
+      }
+      if (i % 3 == 0) relays[i].peers.push_back(ghost);
+      netw.attach(addrs[i], &relays[i]);
+    }
+    netw.add_partition("cut", {{addrs[0].value, addrs[1].value}});
+    netw.set_unreachable(addrs[6], true);
+    netw.set_latency_penalty(addrs[3], ds::millis(5));
+    netw.set_duplicate_probability(0.1);
+    netw.set_reorder_jitter(ds::millis(4));
+
+    // Node 9 leaves mid-run on its own shard: messages already in flight
+    // to it drop as offline when they arrive.
+    netw.simulator_for(addrs[9]).post_at(ds::millis(60),
+                                         [&] { netw.detach(addrs[9]); });
+    for (std::size_t i = 0; i < 6; ++i) {
+      Relay* const origin = &relays[2 + 2 * i];
+      netw.simulator_for(origin->self)
+          .post_at(ds::millis(1 + 3 * static_cast<int>(i)), [&netw, origin,
+                                                             i] {
+            const dn::Span root = netw.new_span_root();
+            for (std::size_t k = 0; k < 2; ++k) {
+              netw.send(origin->self, origin->peers[k],
+                        static_cast<int>(i), 3000, /*hops=*/5, root);
+            }
+          });
+    }
+    kernel.run_until(ds::seconds(2), threads);
+  }
+  return out.str();
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(DECENTNET_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream s;
+  s << in.rdbuf();
+  return s.str();
+}
+
+/// Compare `trace` to golden/`name`; on a mismatch, write the actual bytes
+/// next to the test binary (as `name`) and report the first differing line.
+void expect_matches_golden(const std::string& trace, const std::string& name) {
+  const std::string want = read_golden(name);
+  if (trace == want) return;
+  std::ofstream(name, std::ios::binary) << trace;
+  std::istringstream a(trace), b(want);
+  std::string la, lb;
+  std::size_t line = 1;
+  while (std::getline(a, la) && std::getline(b, lb) && la == lb) ++line;
+  ADD_FAILURE() << name << " differs from tests/golden/" << name
+                << " at line " << line << " (actual written to ./" << name
+                << ")\n  actual: " << la << "\n  golden: " << lb;
+}
+
+/// Drop records with `reason`, optionally only those whose preceding record
+/// has kind `after` ("fire": dropped at arrival; "span": dropped at send).
+std::size_t count_drops(const std::string& trace, const std::string& reason,
+                        const std::string& after = "") {
+  const std::string drop = "\"kind\":\"drop\",\"tag\":\"" + reason + "\"";
+  const std::string prev = "\"kind\":\"" + after + "\"";
+  std::istringstream in(trace);
+  std::string line, last;
+  std::size_t c = 0;
+  while (std::getline(in, line)) {
+    if (line.find(drop) != std::string::npos &&
+        (after.empty() || last.find(prev) != std::string::npos)) {
+      ++c;
+    }
+    last = std::move(line);
+  }
+  return c;
+}
+
+}  // namespace
+
+TEST(Sharding, FaultedNetworkTraceMatchesGoldenAtOneAndFourShards) {
+  const std::string s1 = faulted_network_trace(1, 1);
+  const std::string s4 = faulted_network_trace(4, 1);
+  EXPECT_EQ(faulted_network_trace(4, 2), s4);
+  expect_matches_golden(s1, "net_faults_s1.jsonl");
+  expect_matches_golden(s4, "net_faults_s4.jsonl");
+
+  for (const std::string* t : {&s1, &s4}) {
+    for (const char* reason :
+         {"partition", "unreachable", "loss", "queue", "offline"}) {
+      EXPECT_GT(count_drops(*t, reason), 0u) << reason;
+    }
+    EXPECT_NE(t->find("\"kind\":\"dup\""), std::string::npos);
+    EXPECT_NE(t->find("\"kind\":\"span\",\"tag\":\"root\""),
+              std::string::npos);
+    EXPECT_NE(t->find("\"queue_us\":"), std::string::npos);
+  }
+  // Offline at arrival (the detached node, and the unregistered one on the
+  // single-shard path, which interns it) vs offline at send (sharded only).
+  EXPECT_GT(count_drops(s1, "offline", "fire"), 0u);
+  EXPECT_GT(count_drops(s4, "offline", "fire"), 0u);
+  EXPECT_EQ(count_drops(s1, "offline", "span"), 0u);
+  EXPECT_GT(count_drops(s4, "offline", "span"), 0u);
 }

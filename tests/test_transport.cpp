@@ -335,10 +335,11 @@ TEST(Transport, ShardedTcpRunsAreByteIdenticalAcrossThreads) {
 }
 
 TEST(Transport, ShardedMatchesUnshardedSingleShard) {
-  // shards=1 routes through the legacy deliver(); shards=4 through
-  // deliver_sharded(). Same seed, same metrics totals is the cheap sanity
-  // check that the two transport paths share arithmetic (traces differ in
-  // msg_seq encoding, so compare totals, not bytes).
+  // shards=1 runs the one-context network, shards=4 four send-side
+  // contexts over the same deliver(). Same seed, same send count is the
+  // cheap sanity check that both decompositions share the transport
+  // arithmetic (traces differ in msg_seq encoding and RNG streams, so
+  // compare totals, not bytes).
   const std::string a =
       bandwidth_workload_trace(1, 1, dn::TransportMode::Bandwidth);
   const std::string b =
