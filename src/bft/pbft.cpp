@@ -1,6 +1,7 @@
 #include "bft/pbft.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "crypto/buffer.hpp"
 
@@ -61,13 +62,8 @@ void PbftReplica::recover() {
 }
 
 bool PbftReplica::has_pending_work() const {
-  if (!pending_.empty() || !forwarded_.empty()) return true;
-  for (const auto& [key, s] : slots_) {
-    if (key.second > executed_seq_ && s.pre_prepare && !s.executed) {
-      return true;
-    }
-  }
-  return false;
+  return !pending_.empty() || !forwarded_.empty() ||
+         max_pre_prepared_seq_ > executed_seq_;
 }
 
 template <typename M>
@@ -136,6 +132,7 @@ void PbftReplica::flush_batch() {
   // Process our own copy.
   SlotState& s = slot(pp.view, pp.seq);
   s.pre_prepare = pp;
+  max_pre_prepared_seq_ = std::max(max_pre_prepared_seq_, pp.seq);
   try_prepare(pp.seq, s);
   // The primary watches its own batch too: if it is cut off from its
   // backups (a partition rather than a crash), this times out and it joins
@@ -233,13 +230,20 @@ void PbftReplica::start_view_change() {
   pm::ViewChange vc;
   vc.new_view = target;
   vc.replica = index_;
-  // Carry prepared-but-unexecuted batches into the new view.
+  // Carry prepared-but-unexecuted batches into the new view, in (view, seq)
+  // order: slots_ is hashed, and what the new primary receives must not
+  // depend on its bucket layout. A slot's pre-prepare carries the slot's
+  // own (view, seq) key.
   for (const auto& [key, s] : slots_) {
     if (s.prepared && !s.executed && s.pre_prepare &&
         key.second > executed_seq_) {
       vc.prepared.push_back(*s.pre_prepare);
     }
   }
+  std::sort(vc.prepared.begin(), vc.prepared.end(),
+            [](const pm::PrePrepare& a, const pm::PrePrepare& b) {
+              return std::tie(a.view, a.seq) < std::tie(b.view, b.seq);
+            });
   view_change_votes_[target].insert(index_);
   for (const auto& pp : vc.prepared) {
     view_change_preps_[target].push_back(pp);
@@ -270,6 +274,7 @@ void PbftReplica::enter_new_view(
     adopted.view = view_;
     SlotState& s = slot(view_, adopted.seq);
     s.pre_prepare = adopted;
+    max_pre_prepared_seq_ = std::max(max_pre_prepared_seq_, adopted.seq);
     max_seq = std::max(max_seq, adopted.seq);
     if (!is_primary()) {
       pm::Prepare p{view_, adopted.seq, adopted.digest, index_};
@@ -378,6 +383,7 @@ void PbftReplica::handle_message(const net::Message& msg) {
     SlotState& s = slot(pp.view, pp.seq);
     if (s.pre_prepare) return;  // no equivocation acceptance
     s.pre_prepare = pp;
+    max_pre_prepared_seq_ = std::max(max_pre_prepared_seq_, pp.seq);
     // A pre-prepare is only progress evidence when we are up to date. A
     // primary streaming new sequences while we are stuck behind an execution
     // gap (we missed a quorum during a loss burst) must not keep resetting

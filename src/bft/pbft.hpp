@@ -171,7 +171,24 @@ class PbftReplica final : public net::Host {
   std::uint64_t view_ = 0;
   std::uint64_t next_seq_ = 1;      // primary's sequence counter
   std::uint64_t executed_seq_ = 0;  // highest contiguously executed seq
-  std::map<std::pair<std::uint64_t, std::uint64_t>, SlotState> slots_;
+  // Highest seq whose slot holds a pre-prepare. Pre-prepares are never
+  // cleared, slots never erased, and a slot is marked executed only when
+  // executed_seq_ (which advances by one) reaches its seq, so some slot is
+  // pre-prepared but unexecuted exactly when this exceeds executed_seq_.
+  std::uint64_t max_pre_prepared_seq_ = 0;
+  // Keyed by (view, seq). Hashed: every PrePrepare/Prepare/Commit looks its
+  // slot up. Node-based, so SlotState references survive later inserts.
+  // Iteration order is unspecified; start_view_change sorts what it sends.
+  struct SlotKeyHash {
+    std::size_t operator()(
+        const std::pair<std::uint64_t, std::uint64_t>& k) const {
+      return static_cast<std::size_t>(k.second ^
+                                      (k.first * 0x9E3779B97F4A7C15ull));
+    }
+  };
+  std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, SlotState,
+                     SlotKeyHash>
+      slots_;
   std::map<std::uint64_t, std::vector<Command>> executed_batches_;
 
   std::deque<Command> pending_;  // primary-side batching queue

@@ -57,8 +57,10 @@ struct ScenarioCommon {
   std::size_t sim_threads = 1;
   /// The transport model every scenario's Network runs (mode, default
   /// LinkSpec, Tcp constants — see net/transport.hpp). Defaults to pure
-  /// latency; scenarios validate it uniformly on entry.
-  net::TransportConfig transport;
+  /// latency; scenarios validate it uniformly on entry. (The `{}` lets
+  /// brace-initializers that stop early omit it without GCC's
+  /// -Wmissing-field-initializers.)
+  net::TransportConfig transport{};
 };
 
 // ---------------------------------------------------------------------------

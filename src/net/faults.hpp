@@ -139,11 +139,13 @@ class FaultPlan {
 /// Hooks the scheduler drives for node-level faults. `nodes` maps the plan's
 /// dense node indices to network addresses (required by link-level faults);
 /// `crash`/`restart` invoke the protocol's own crash-stop machinery and may
-/// be empty when the plan has no such events.
+/// be empty when the plan has no such events. (Every member has an
+/// initializer, so `{.nodes = ...}` omits the rest without GCC's
+/// -Wmissing-field-initializers.)
 struct FaultTargets {
-  std::vector<NodeId> nodes;
-  std::function<void(std::size_t node)> crash;
-  std::function<void(std::size_t node)> restart;
+  std::vector<NodeId> nodes{};
+  std::function<void(std::size_t node)> crash{};
+  std::function<void(std::size_t node)> restart{};
   /// Optional: when a ChurnDriver manages the same peers, the scheduler
   /// holds a node's churn across its crash→restart window so a churn
   /// transition cannot revive it early (fault-crash is authoritative).

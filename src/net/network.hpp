@@ -66,8 +66,10 @@ struct NetworkConfig {
   /// Uniform probability that any message is lost in transit.
   double drop_probability = 0.0;
   /// The transport model: mode (Latency/Bandwidth/Tcp), the default
-  /// LinkSpec, and the Tcp flow constants. See net/transport.hpp.
-  TransportConfig transport;
+  /// LinkSpec, and the Tcp flow constants. See net/transport.hpp. (The
+  /// `{}` lets designated initializers omit it without GCC's
+  /// -Wmissing-field-initializers.)
+  TransportConfig transport{};
   /// Expected topology size; pre-sizes the peer table so attach() never
   /// rehashes mid-experiment. 0 keeps the default initial capacity.
   std::size_t expected_nodes = 0;

@@ -104,10 +104,12 @@ class Value {
   std::string s_;
 };
 
+// Every member has an initializer, so benches' `{.shard_aware = true}` and
+// the like omit the rest without GCC's -Wmissing-field-initializers.
 struct ExperimentOptions {
   std::uint64_t seed = 1;
-  std::string json_path;   // empty => "BENCH_<id>.json"
-  std::string trace_path;  // empty => tracing disabled
+  std::string json_path{};   // empty => "BENCH_<id>.json"
+  std::string trace_path{};  // empty => tracing disabled
   /// --stream-trace: write the trace through a bounded-memory
   /// StreamingTraceSink (fixed-size chunk flushes) instead of a buffered
   /// JsonlTraceSink, and spill per-shard records to disk during sharded
@@ -133,23 +135,23 @@ struct ExperimentOptions {
   /// --chaos-seeds N: fuzz seeds per protocol. 0 = the bench's default.
   std::size_t chaos_seeds = 0;
   /// --chaos-space FILE: JSON ChaosSpace overriding the built-in space.
-  std::string chaos_space_path;
+  std::string chaos_space_path{};
   /// --repro FILE: replay one ChaosRepro envelope instead of fuzzing.
-  std::string repro_path;
+  std::string repro_path{};
   bool profile = false;    // kernel self-profiler ("profile" JSON key)
   /// --telemetry[=INTERVAL]: sim-time series sampling cadence, 0 = off (the
   /// default — golden traces and perf artifacts are untouched unless asked
   /// for). The bare flag samples every 100 ms of sim time.
   SimDuration telemetry_interval = 0;
   /// --telemetry-out PATH (empty => "TELEMETRY_<id>.jsonl").
-  std::string telemetry_path;
+  std::string telemetry_path{};
   bool emit_json = true;
   bool quiet = false;
   bool help = false;
   /// Free-form `--param key=value` pairs (repeatable; later wins). Benches
   /// read them through cli_param()/cli_param_u64() to scale sweeps without
   /// bespoke flags (e.g. E20's `--param max_n=10000`).
-  std::vector<std::pair<std::string, std::string>> params;
+  std::vector<std::pair<std::string, std::string>> params{};
 };
 
 class ExperimentHarness;

@@ -42,10 +42,11 @@ void Simulator::heap_push(HeapEntry e) {
   // Hole insertion: slide parents down into the hole and place the new
   // entry once, instead of a 3-move swap per level.
   heap_.push_back(e);
+  const unsigned __int128 rank = e.rank();
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!e.before(heap_[parent])) break;
+    if (!(rank < heap_[parent].rank())) break;
     heap_[i] = heap_[parent];
     i = parent;
   }
@@ -58,21 +59,45 @@ void Simulator::heap_pop_min() {
   const std::size_t n = heap_.size();
   if (n == 0) return;
   // Hole percolation with the displaced last entry.
+  using Rank = unsigned __int128;
+  HeapEntry* const h = heap_.data();
+  const Rank last_rank = last.rank();
   std::size_t i = 0;
   for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t last_child =
-        first_child + 4 < n ? first_child + 4 : n;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (heap_[c].before(heap_[best])) best = c;
+    const std::size_t c = 4 * i + 1;
+    std::size_t best;
+    Rank best_rank;
+    if (c + 4 <= n) {
+      // Full sibling group: a 2+1 tournament of conditional selects.
+      const Rank r0 = h[c].rank(), r1 = h[c + 1].rank();
+      const Rank r2 = h[c + 2].rank(), r3 = h[c + 3].rank();
+      const bool b01 = r1 < r0, b23 = r3 < r2;
+      const Rank ra = b01 ? r1 : r0, rb = b23 ? r3 : r2;
+      const bool right = rb < ra;
+      // The index is mask arithmetic: GCC turns a ternary here back into a
+      // (mispredicting) branch.
+      const std::size_t take_b = 0 - static_cast<std::size_t>(right);
+      best = c + (((2 + b23) & take_b) | (b01 & ~take_b));
+      best_rank = right ? rb : ra;
+    } else if (c < n) {
+      // Partial last group (1-3 children).
+      best = c;
+      best_rank = h[c].rank();
+      for (std::size_t k = c + 1; k < n; ++k) {
+        const Rank r = h[k].rank();
+        if (r < best_rank) {
+          best = k;
+          best_rank = r;
+        }
+      }
+    } else {
+      break;
     }
-    if (!heap_[best].before(last)) break;
-    heap_[i] = heap_[best];
+    if (!(best_rank < last_rank)) break;
+    h[i] = h[best];
     i = best;
   }
-  heap_[i] = last;
+  h[i] = last;
 }
 
 std::uint32_t Simulator::push_event(SimTime when, Callback fn,

@@ -16,6 +16,11 @@
 //     referenced by slot index; the ready queue is a 4-ary heap of small
 //     {when, seq, slot} entries, so sifting moves 24-byte records instead of
 //     whole events and keeps the (when, seq) FIFO tie-break exact.
+//   * Heap order compares (when, seq) as one unsigned 128-bit rank, and the
+//     pop picks the least of a full sibling group with a 2+1 tournament of
+//     conditional selects, so the many same-`when` entries one multicast
+//     queues cost no mispredicted branches. `seq` is unique, so the rank is
+//     a total order and the pop order is exactly the (when, seq) order.
 //   * EventHandle is a {slot, generation} ticket: cancellation flips the
 //     slot's state, validity compares generations — no shared_ptr, no
 //     allocation. Generations bump whenever a slot is released (fire,
@@ -196,8 +201,14 @@ class Simulator {
     SimTime when;
     std::uint64_t seq;
     std::uint32_t slot;
-    bool before(const HeapEntry& o) const {
-      return when != o.when ? when < o.when : seq < o.seq;
+    /// The heap order: (when, seq) as one unsigned 128-bit number, `when`
+    /// with its sign bit flipped (so signed order becomes unsigned order) in
+    /// the high half and `seq` in the low half. One compare, no branch on
+    /// `when` ties.
+    unsigned __int128 rank() const {
+      const std::uint64_t hi =
+          static_cast<std::uint64_t>(when) ^ (std::uint64_t{1} << 63);
+      return (static_cast<unsigned __int128>(hi) << 64) | seq;
     }
   };
 

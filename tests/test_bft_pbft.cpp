@@ -1,5 +1,6 @@
 // PBFT tests: three-phase commit, client reply quorums, in-order execution,
-// batching, crash tolerance up to f, and view change on primary failure.
+// batching, crash tolerance up to f, view change on primary failure, and
+// the order a ViewChange carries prepared batches in.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "bft/pbft.hpp"
+#include "crypto/hash.hpp"
 #include "net/network.hpp"
 
 namespace db = decentnet::bft;
@@ -237,6 +239,91 @@ TEST(Pbft, GroupBeyondReplicaSetLimitThrows) {
   addrs.pop_back();  // exactly 64 fits
   EXPECT_NO_THROW(replica.set_group(addrs));
   EXPECT_NO_THROW(client.set_group(addrs));
+}
+
+namespace {
+
+// A scripted group member: sends whatever the test tells it to and keeps
+// every ViewChange it receives.
+struct ScriptedPeer final : dn::Host {
+  dn::Network& net;
+  dn::NodeId addr;
+  std::vector<db::pbft_msg::ViewChange> view_changes;
+
+  explicit ScriptedPeer(dn::Network& n) : net(n), addr(n.new_node_id()) {
+    net.attach(addr, this);
+  }
+  ~ScriptedPeer() override { net.detach(addr); }
+
+  void handle_message(const dn::Message& msg) override {
+    if (msg.is<db::pbft_msg::ViewChange>()) {
+      view_changes.push_back(dn::payload_as<db::pbft_msg::ViewChange>(msg));
+    }
+  }
+};
+
+}  // namespace
+
+TEST(Pbft, ViewChangeCarriesPreparedSlotsInViewSeqOrder) {
+  // Replica 3 is real; replicas 0-2 are scripted. Two NewViews hand it
+  // re-proposals out of seq order (view 1: seqs 5, 3, 4; view 2: seqs 2,
+  // 1), a scripted Prepare per slot prepares each one, and no Commit ever
+  // comes, so all five stay prepared but unexecuted. A ViewChange vote then
+  // makes it start a view change, whose ViewChange must list the five in
+  // ascending (view, seq) order whatever order the slot table holds them in.
+  ds::Simulator sim{7};
+  dn::Network net{sim, std::make_unique<dn::ConstantLatency>(ds::millis(5))};
+  std::vector<std::unique_ptr<ScriptedPeer>> peers;
+  std::vector<dn::NodeId> group;
+  for (int i = 0; i < 3; ++i) {
+    peers.push_back(std::make_unique<ScriptedPeer>(net));
+    group.push_back(peers.back()->addr);
+  }
+  group.push_back(net.new_node_id());
+  db::PbftReplica replica(net, group[3], 3, db::PbftConfig{});
+  replica.set_group(group);
+
+  const auto proposal = [](std::uint64_t seq) {
+    db::pbft_msg::PrePrepare pp;
+    pp.view = 0;  // the adopting replica stamps its new view
+    pp.seq = seq;
+    pp.digest = decentnet::crypto::sha256("batch-" + std::to_string(seq));
+    return pp;
+  };
+  // Enter `view` from its primary, then prepare each slot from `voter`.
+  const auto install = [&](std::uint64_t view, std::size_t voter,
+                           const std::vector<std::uint64_t>& seqs) {
+    db::pbft_msg::NewView nv;
+    nv.view = view;
+    for (std::uint64_t seq : seqs) nv.reproposals.push_back(proposal(seq));
+    net.send(group[view % 4], group[3], nv, 96);
+    sim.run_until(sim.now() + ds::millis(10));
+    ASSERT_EQ(replica.view(), view);
+    for (std::uint64_t seq : seqs) {
+      net.send(group[voter], group[3],
+               db::pbft_msg::Prepare{view, seq, proposal(seq).digest, voter},
+               96);
+    }
+    sim.run_until(sim.now() + ds::millis(10));
+  };
+  install(1, 2, {5, 3, 4});
+  install(2, 0, {2, 1});
+  ASSERT_EQ(replica.executed_count(), 0u);
+
+  net.send(group[0], group[3], db::pbft_msg::ViewChange{3, 0, {}}, 96);
+  sim.run_until(sim.now() + ds::millis(10));
+  ASSERT_EQ(peers[1]->view_changes.size(), 1u);
+  const db::pbft_msg::ViewChange& vc = peers[1]->view_changes[0];
+  EXPECT_EQ(vc.new_view, 3u);
+  EXPECT_EQ(vc.replica, 3u);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> carried;
+  for (const auto& pp : vc.prepared) carried.emplace_back(pp.view, pp.seq);
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected{
+      {1, 3}, {1, 4}, {1, 5}, {2, 1}, {2, 2}};
+  EXPECT_EQ(carried, expected);
+  for (const auto& pp : vc.prepared) {
+    EXPECT_EQ(pp.digest, proposal(pp.seq).digest) << "seq " << pp.seq;
+  }
 }
 
 TEST(ReplicaSet, InsertReportsNewReplicasOnly) {

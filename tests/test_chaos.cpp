@@ -108,7 +108,9 @@ TEST(ChaosEngine, SamplePlanIsDeterministicValidAndSorted) {
   const ds::SimTime horizon = engine.space().horizon;
   for (const auto& e : a.events()) {
     EXPECT_GE(e.at, horizon / 20);
-    if (e.heal_at > 0) EXPECT_LE(e.heal_at, horizon * 8 / 10);
+    if (e.heal_at > 0) {
+      EXPECT_LE(e.heal_at, horizon * 8 / 10);
+    }
   }
 }
 

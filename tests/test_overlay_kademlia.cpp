@@ -94,7 +94,9 @@ TEST(Kademlia, StoreThenFindValueFromAnyNode) {
   bool found = false;
   kad.nodes[17]->find_value(key, [&](ov::LookupResult r) {
     found = r.found_value;
-    if (r.found_value) EXPECT_EQ(*r.value, "the-value");
+    if (r.found_value) {
+      EXPECT_EQ(*r.value, "the-value");
+    }
   });
   kad.sim.run_until(kad.sim.now() + ds::minutes(1));
   EXPECT_TRUE(found);

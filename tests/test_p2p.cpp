@@ -99,7 +99,9 @@ TEST(Swarm, FreeRidersUploadNothing) {
   swarm.start();
   sim.run_until(ds::hours(1));
   for (const auto& s : swarm.stats()) {
-    if (s.free_rider) EXPECT_EQ(s.bytes_uploaded, 0u);
+    if (s.free_rider) {
+      EXPECT_EQ(s.bytes_uploaded, 0u);
+    }
   }
 }
 

@@ -4,9 +4,12 @@
 // statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -203,6 +206,222 @@ TEST(Simulator, HandleStaysInvalidWhenSlotIsReused) {
   EXPECT_TRUE(h2.valid());
   sim.run_all();
   EXPECT_EQ(second, 1);
+}
+
+namespace {
+
+// Reference model of the kernel's ordering contract, driven by a random
+// schedule: events fire in (when, seq) order, seq counting every push (a
+// schedule/post, a series' first arm, and each re-arm, which the kernel
+// makes right after the series callback returns); cancelled events never
+// fire; and pending_events()/next_event_time() see every queued entry,
+// cancelled-but-unreclaimed ones and the no-op firings of a cancelled series
+// included. Delays span [-3, 5] ticks, so `when` ties are heavy and negative
+// delays clamp to now.
+class KernelOrderModel {
+ public:
+  explicit KernelOrderModel(std::uint64_t seed) : rng_(seed), sim_(seed) {}
+
+  void run() {
+    for (int round = 0; round < 30; ++round) {
+      const std::uint64_t adds = 20 + rng_.uniform_int(60);
+      for (std::uint64_t i = 0; i < adds; ++i) add_random();
+      for (int i = 0; i < 5; ++i) cancel_random();  // before any callback
+      if (rng_.chance(0.3)) cancel_random_series();
+      const ds::SimTime until =
+          sim_.now() + static_cast<ds::SimTime>(rng_.uniform_int(8));
+      sim_.run_until(until);
+      settle(until);
+      check_queue();
+    }
+    draining_ = true;  // no new series, so run_all() ends
+    for (Series& s : series_) {
+      s.handle.cancel();
+      s.alive = false;
+    }
+    sim_.run_all();
+    settle(std::numeric_limits<ds::SimTime>::max());
+    check_queue();
+    EXPECT_TRUE(queue_.empty());
+    for (const Item& it : items_) {
+      if (it.series < 0) {
+        EXPECT_NE(it.fired, it.cancelled);
+      }
+    }
+    std::vector<Key> reference = fired_;
+    std::sort(reference.begin(), reference.end());
+    EXPECT_EQ(fired_, reference);
+    for (std::size_t r = 0; r < 4; ++r) {
+      EXPECT_TRUE(residues_seen_[r]) << "no fire at heap size " << r
+                                     << " mod 4";
+    }
+  }
+
+ private:
+  using Key = std::pair<ds::SimTime, std::uint64_t>;  // (when, seq)
+  struct Item {
+    Key key;
+    int series = -1;  // >= 0: one firing of series_[series]
+    bool has_handle = false;
+    bool cancelled = false;
+    bool fired = false;
+    ds::EventHandle handle;
+  };
+  struct Series {
+    ds::EventHandle handle;
+    ds::SimDuration period = 1;
+    int queued = -1;  // item id of the firing now in the queue
+    bool alive = true;
+  };
+
+  int new_item(ds::SimTime when, int series) {
+    const int id = static_cast<int>(items_.size());
+    Item it;
+    it.key = {std::max(when, sim_.now()), next_seq_++};
+    it.series = series;
+    items_.push_back(it);
+    queue_.emplace(it.key, id);
+    return id;
+  }
+
+  void add_random() {
+    const ds::SimDuration delay = rng_.uniform_int(-3, 5);
+    if (!draining_ && series_.size() < 8 && rng_.chance(0.04)) {
+      const int s = static_cast<int>(series_.size());
+      series_.push_back({});
+      series_[s].period = 1 + static_cast<ds::SimDuration>(rng_.uniform_int(4));
+      series_[s].queued = new_item(sim_.now() + std::max<ds::SimDuration>(
+                                                    delay, 0),
+                                   s);
+      series_[s].handle = sim_.schedule_periodic(
+          delay, series_[s].period, [this, s] { on_series_fire(s); });
+      return;
+    }
+    const int id = new_item(sim_.now() + delay, -1);
+    auto fn = [this, id] { on_fire(id); };
+    switch (rng_.uniform_int(4)) {
+      case 0:
+        items_[id].handle = sim_.schedule(delay, fn);
+        items_[id].has_handle = true;
+        break;
+      case 1:
+        items_[id].handle = sim_.schedule_at(sim_.now() + delay, fn);
+        items_[id].has_handle = true;
+        break;
+      case 2:
+        sim_.post(delay, fn);
+        break;
+      default:
+        sim_.post_at(sim_.now() + delay, fn);
+        break;
+    }
+  }
+
+  // Cancels one of the most recent items: pending, fired (a no-op) or, from
+  // inside a callback, possibly the firing event itself (also a no-op).
+  void cancel_random() {
+    if (items_.empty()) return;
+    const std::size_t recent = std::min<std::size_t>(items_.size(), 64);
+    Item& it = items_[items_.size() - 1 - rng_.uniform_int(recent)];
+    if (!it.has_handle) return;
+    EXPECT_EQ(it.handle.valid(), !it.fired && !it.cancelled);
+    it.handle.cancel();
+    if (!it.fired) it.cancelled = true;
+  }
+
+  void cancel_random_series() {
+    if (series_.empty()) return;
+    Series& s = series_[rng_.uniform_int(series_.size())];
+    EXPECT_EQ(s.handle.valid(), s.alive);
+    s.handle.cancel();
+    s.alive = false;
+  }
+
+  void act() {
+    while (rng_.chance(0.45)) add_random();
+    if (rng_.chance(0.3)) cancel_random();
+    if (rng_.chance(0.02)) cancel_random_series();
+    check_queue();
+  }
+
+  void on_fire(int id) {
+    observe(id);
+    act();
+  }
+
+  void on_series_fire(int s) {
+    ASSERT_TRUE(series_[s].alive);
+    observe(series_[s].queued);
+    act();
+    // The kernel re-arms after this callback returns, before any other push.
+    if (series_[s].alive) {
+      series_[s].queued = new_item(sim_.now() + series_[s].period, s);
+    }
+  }
+
+  // The fired item must be the least (when, seq) entry that can fire:
+  // everything queued ahead of it is cancelled or a cancelled series' firing.
+  void observe(int id) {
+    const Key key = items_[id].key;
+    EXPECT_EQ(sim_.now(), key.first);
+    while (!queue_.empty() && queue_.begin()->first < key) {
+      expect_silent(queue_.begin()->second);
+      queue_.erase(queue_.begin());
+    }
+    ASSERT_FALSE(queue_.empty());
+    ASSERT_EQ(queue_.begin()->second, id);
+    queue_.erase(queue_.begin());
+    items_[id].fired = true;
+    fired_.push_back(key);
+    check_queue();
+    residues_seen_[sim_.pending_events() % 4] = true;
+  }
+
+  void expect_silent(int id) const {
+    const Item& it = items_[id];
+    EXPECT_TRUE(it.cancelled || (it.series >= 0 && !series_[it.series].alive))
+        << "entry (" << it.key.first << ", " << it.key.second
+        << ") passed without firing";
+  }
+
+  // After run_until(until): cancelled entries that reached the top were
+  // reclaimed even past the horizon; no live entry at or before it is left.
+  void settle(ds::SimTime until) {
+    while (!queue_.empty()) {
+      const auto [key, id] = *queue_.begin();
+      if (!items_[id].cancelled) {
+        if (key.first > until) break;
+        expect_silent(id);
+      }
+      queue_.erase(queue_.begin());
+    }
+  }
+
+  void check_queue() const {
+    EXPECT_EQ(sim_.pending_events(), queue_.size());
+    EXPECT_EQ(sim_.next_event_time(),
+              queue_.empty() ? std::numeric_limits<ds::SimTime>::max()
+                             : queue_.begin()->first.first);
+  }
+
+  ds::Rng rng_;
+  ds::Simulator sim_;
+  std::uint64_t next_seq_ = 0;
+  std::vector<Item> items_;
+  std::vector<Series> series_;
+  std::map<Key, int> queue_;  // the kernel's heap as a sorted reference
+  std::vector<Key> fired_;
+  std::array<bool, 4> residues_seen_{};
+  bool draining_ = false;
+};
+
+}  // namespace
+
+TEST(Simulator, FireOrderMatchesReferenceSortOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(seed);
+    KernelOrderModel(seed).run();
+  }
 }
 
 TEST(InlineFn, InlineAndBoxedCapturesBothInvoke) {

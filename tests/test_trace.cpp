@@ -108,7 +108,9 @@ TEST(Trace, NetworkEmitsSendAndDropRecords) {
   EXPECT_EQ(bob.got, 1);
   ASSERT_EQ(sink.count("send"), 1u);
   for (const auto& r : sink.recs) {
-    if (r.kind == "send") EXPECT_EQ(r.bytes, 64u);
+    if (r.kind == "send") {
+      EXPECT_EQ(r.bytes, 64u);
+    }
   }
 
   // An unreachable receiver: the send is recorded on entry, then the drop
